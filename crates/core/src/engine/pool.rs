@@ -8,7 +8,6 @@ use std::sync::Mutex;
 pub(crate) struct ExecScratch<T> {
     pub(crate) arena: Vec<T>,
     pub(crate) parents: Vec<bool>,
-    pub(crate) simple: Vec<bool>,
 }
 
 impl<T> Default for ExecScratch<T> {
@@ -16,7 +15,6 @@ impl<T> Default for ExecScratch<T> {
         Self {
             arena: Vec::new(),
             parents: Vec::new(),
-            simple: Vec::new(),
         }
     }
 }

@@ -23,7 +23,6 @@ use std::sync::Mutex;
 struct PlacedTile {
     meta: Arc<TileMeta>,
     col_start: usize,
-    valid_rows: usize,
 }
 
 impl TileExec for PlacedTile {
@@ -32,9 +31,6 @@ impl TileExec for PlacedTile {
     }
     fn col_start(&self) -> usize {
         self.col_start
-    }
-    fn valid_rows(&self) -> usize {
-        self.valid_rows
     }
 }
 
@@ -387,7 +383,6 @@ impl<T: Element> Session<T> {
         let mut tile_buf = std::mem::take(&mut self.tile_buf);
         for ti in 0..gm {
             let row_start = ti * shape.m;
-            let valid_rows = (spikes.rows() - row_start).min(shape.m);
             for tj in 0..gk {
                 let col_start = tj * shape.k;
                 spikes.submatrix_into(row_start, col_start, shape.m, shape.k, &mut tile_buf);
@@ -399,11 +394,7 @@ impl<T: Element> Session<T> {
                     &tile_buf,
                     self.shared_admission.as_deref(),
                 );
-                self.tiles.push(PlacedTile {
-                    meta,
-                    col_start,
-                    valid_rows,
-                });
+                self.tiles.push(PlacedTile { meta, col_start });
             }
         }
         self.tile_buf = tile_buf;
@@ -724,15 +715,7 @@ impl<T: Element> Session<T> {
                 return;
             };
             let mut s = self.pool.take_exec();
-            execute_row_tile(
-                tiles,
-                weights,
-                chunk,
-                &mut s.arena,
-                &mut s.parents,
-                &mut s.simple,
-                n,
-            );
+            execute_row_tile(tiles, weights, chunk, &mut s.arena, &mut s.parents, n);
             self.pool.put_exec(s);
         });
     }
@@ -775,7 +758,6 @@ impl<T: Element> Session<T> {
             count,
             &mut s.arena,
             &mut s.parents,
-            &mut s.simple,
             self.config.tile.m,
             n,
         );

@@ -12,10 +12,18 @@
 //!
 //! The kernel is built for speed:
 //!
+//! * One row loop serves every row. Each row is built in fixed strips of
+//!   16 output columns (plus one narrower tail strip): a strip is a `[T; 16]`
+//!   accumulator the compiler keeps in registers while the bit scan adds the
+//!   selected weight-row strips into it, so the accumulator is loaded once
+//!   (from the prefix's partial, or zero) and written out once per strip,
+//!   not once per set pattern bit. The code is plain safe Rust; the compiler
+//!   vectorizes the constant-width strip adds.
 //! * Tile-local partials live in one flat arena of `tile_rows × n` elements
 //!   per row-tile, indexed by row offset — no per-row heap allocation inside
-//!   the tile loop. Prefix loads are a single `copy_within`; weight rows are
-//!   accumulated with a tight slice loop the compiler can autovectorize.
+//!   the tile loop. Only rows that a later row loads as its prefix store
+//!   their partial there; when `n` fits in one strip every row stores, which
+//!   costs less than finding the prefix rows.
 //! * Row-tiles own disjoint output rows, so with the `parallel` feature
 //!   (default) they execute across threads over disjoint `&mut` chunks of the
 //!   output; the `k`-tiles of one row group fold sequentially into that
@@ -40,7 +48,7 @@ use std::ops::AddAssign;
 ///
 /// Panics if `spikes.cols() != weights.rows()`.
 #[cfg(feature = "parallel")]
-pub fn prosparsity_gemm<T: Copy + Default + AddAssign + Send + Sync + 'static>(
+pub fn prosparsity_gemm<T: Copy + Default + AddAssign + Send + Sync>(
     spikes: &SpikeMatrix,
     weights: &WeightMatrix<T>,
     shape: TileShape,
@@ -57,7 +65,7 @@ pub fn prosparsity_gemm<T: Copy + Default + AddAssign + Send + Sync + 'static>(
 ///
 /// Panics if `spikes.cols() != weights.rows()`.
 #[cfg(not(feature = "parallel"))]
-pub fn prosparsity_gemm<T: Copy + Default + AddAssign + 'static>(
+pub fn prosparsity_gemm<T: Copy + Default + AddAssign>(
     spikes: &SpikeMatrix,
     weights: &WeightMatrix<T>,
     shape: TileShape,
@@ -73,7 +81,7 @@ pub fn prosparsity_gemm<T: Copy + Default + AddAssign + 'static>(
 ///
 /// Panics if the plan's source column count differs from `weights.rows()`.
 #[cfg(feature = "parallel")]
-pub fn execute_plan<T: Copy + Default + AddAssign + Send + Sync + 'static>(
+pub fn execute_plan<T: Copy + Default + AddAssign + Send + Sync>(
     plan: &ProSparsityPlan,
     weights: &WeightMatrix<T>,
 ) -> OutputMatrix<T> {
@@ -94,14 +102,12 @@ pub fn execute_plan<T: Copy + Default + AddAssign + Send + Sync + 'static>(
     row_chunks.into_par_iter().for_each(|(ti, chunk)| {
         let mut arena = Vec::new();
         let mut parents = Vec::new();
-        let mut simple = Vec::new();
         execute_row_tile(
             &tiles[ti * gk..(ti + 1) * gk],
             weights,
             chunk,
             &mut arena,
             &mut parents,
-            &mut simple,
             n,
         );
     });
@@ -116,7 +122,7 @@ pub fn execute_plan<T: Copy + Default + AddAssign + Send + Sync + 'static>(
 ///
 /// Panics if the plan's source column count differs from `weights.rows()`.
 #[cfg(not(feature = "parallel"))]
-pub fn execute_plan<T: Copy + Default + AddAssign + 'static>(
+pub fn execute_plan<T: Copy + Default + AddAssign>(
     plan: &ProSparsityPlan,
     weights: &WeightMatrix<T>,
 ) -> OutputMatrix<T> {
@@ -130,7 +136,7 @@ pub fn execute_plan<T: Copy + Default + AddAssign + 'static>(
 /// # Panics
 ///
 /// Panics if the plan's source column count differs from `weights.rows()`.
-pub fn execute_plan_serial<T: Copy + Default + AddAssign + 'static>(
+pub fn execute_plan_serial<T: Copy + Default + AddAssign>(
     plan: &ProSparsityPlan,
     weights: &WeightMatrix<T>,
 ) -> OutputMatrix<T> {
@@ -144,7 +150,6 @@ pub fn execute_plan_serial<T: Copy + Default + AddAssign + 'static>(
     let tiles = plan.tiles();
     let mut arena = Vec::new();
     let mut parents = Vec::new();
-    let mut simple = Vec::new();
     for (ti, chunk) in out.as_mut_slice().chunks_mut(chunk_elems).enumerate() {
         execute_row_tile(
             &tiles[ti * gk..(ti + 1) * gk],
@@ -152,7 +157,6 @@ pub fn execute_plan_serial<T: Copy + Default + AddAssign + 'static>(
             chunk,
             &mut arena,
             &mut parents,
-            &mut simple,
             n,
         );
     }
@@ -160,7 +164,7 @@ pub fn execute_plan_serial<T: Copy + Default + AddAssign + 'static>(
 }
 
 /// Allocates the output and checks the plan/weight inner dimension.
-fn new_output<T: Copy + Default + AddAssign + 'static>(
+fn new_output<T: Copy + Default + AddAssign>(
     plan: &ProSparsityPlan,
     weights: &WeightMatrix<T>,
 ) -> OutputMatrix<T> {
@@ -197,8 +201,6 @@ pub trait TileExec {
     fn meta(&self) -> &TileMeta;
     /// First weight row this tile's patterns address.
     fn col_start(&self) -> usize;
-    /// Valid (non-padding) rows at this placement.
-    fn valid_rows(&self) -> usize;
 }
 
 impl TileExec for TileMeta {
@@ -208,9 +210,6 @@ impl TileExec for TileMeta {
     fn col_start(&self) -> usize {
         self.col_start
     }
-    fn valid_rows(&self) -> usize {
-        self.valid_rows
-    }
 }
 
 /// Executes the `k`-tiles of one row group into its output chunk.
@@ -219,106 +218,66 @@ impl TileExec for TileMeta {
 /// scratch buffers are caller-owned and reused across every tile this worker
 /// processes, so the loop itself never allocates.
 ///
-/// Rows are split into two classes:
-///
-/// * **Simple** rows — no prefix in any `k`-tile and never loaded as a
-///   prefix by another row. They are independent pure accumulations, so each
-///   one is processed exactly once, streaming the pattern bits of *all* its
-///   `k`-tiles through one register-batched pass straight into the global
-///   output row. On weakly correlated data this is nearly every row.
-/// * **Dependent** rows (prefix holders and their parents) go through the
-///   classic tile-major dataflow: parents materialize their tile-local
-///   partial in the flat `arena` (Step 9's prefix load source), dependents
-///   start from it, and results fold into the output (Step 12).
-pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign + 'static, V: TileExec>(
+/// Each `k`-tile walks its rows in the Dispatcher's topological order and
+/// builds every row strip by strip in registers ([`execute_row`]). A row
+/// that some later row loads as its prefix (a *parent*) also stores its
+/// tile-local partial in the flat `arena` (Step 9's prefix load source);
+/// `parents` marks them when rows span several strips. Padding rows fall
+/// past the end of `out_chunk`, so only the arena ever sees them.
+// analyze: hot-path
+pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
     k_tiles: &[V],
     weights: &WeightMatrix<T>,
     out_chunk: &mut [T],
     arena: &mut Vec<T>,
     parents: &mut Vec<bool>,
-    simple: &mut Vec<bool>,
     n: usize,
 ) {
-    let wrows = weights.rows();
     let wdata = weights.as_slice();
     let tile_rows = k_tiles
         .iter()
         .map(|t| t.meta().rows.len())
         .max()
         .unwrap_or(0);
-    let valid_rows = k_tiles.first().map_or(0, |t| t.valid_rows());
-
-    simple.clear();
-    simple.resize(tile_rows, true);
-    for tile in k_tiles {
-        for (r, meta) in tile.meta().rows.iter().enumerate() {
-            if let Some(p) = meta.prefix {
-                simple[r] = false;
-                simple[p] = false;
-            }
-        }
+    if arena.len() < tile_rows * n {
+        arena.resize(tile_rows * n, T::default());
     }
-
-    // Fast path: one pass per simple row over all its k-tiles' patterns.
-    for r in 0..valid_rows {
-        if simple[r] {
-            accumulate_row_all_tiles(
-                &mut out_chunk[r * n..(r + 1) * n],
-                k_tiles,
-                r,
-                wdata,
-                wrows,
-                n,
-            );
-        }
-    }
-
-    // Dependent rows: tile-major, in the Dispatcher's topological order.
+    // A one-strip row's store costs less than finding out whether a later
+    // row loads it as its prefix, so such rows always store.
+    let store_all = n <= STRIP;
     for tile in k_tiles {
-        let (meta, col_start, tile_valid) = (tile.meta(), tile.col_start(), tile.valid_rows());
-        if arena.len() < tile_rows * n {
-            arena.resize(tile_rows * n, T::default());
-        }
-        parents.clear();
-        parents.resize(tile_rows, false);
-        for row in &meta.rows {
-            if let Some(p) = row.prefix {
-                parents[p] = true;
+        let meta = tile.meta();
+        if !store_all {
+            parents.clear();
+            parents.resize(tile_rows, false);
+            for p in meta.rows.iter().filter_map(|row| row.prefix) {
+                if let Some(flag) = parents.get_mut(p) {
+                    *flag = true;
+                }
             }
         }
         let wpr = meta.pattern_words();
         for &r in &meta.order {
-            if simple[r] {
+            let store = store_all || parents.get(r).copied().unwrap_or(false);
+            let out_row = out_chunk.get_mut(r * n..(r + 1) * n);
+            if !store && out_row.is_none() {
+                continue; // padding row nobody depends on
+            }
+            // The planner sizes both to the tile's rows, so these always
+            // resolve; `get` keeps the loop free of panic paths.
+            let (Some(row), Some(pattern)) = (
+                meta.rows.get(r),
+                meta.pattern_limbs.get(r * wpr..(r + 1) * wpr),
+            ) else {
                 continue;
-            }
-            let row = &meta.rows[r];
-            let pattern = &meta.pattern_limbs[r * wpr..(r + 1) * wpr];
-            if parents[r] {
-                // Step 9: seed the tile-local partial from the prefix's
-                // (already computed — the order is topological), or zero.
-                match row.prefix {
-                    Some(p) => arena.copy_within(p * n..(p + 1) * n, r * n),
-                    None => arena[r * n..(r + 1) * n].fill(T::default()),
-                }
-                let acc = &mut arena[r * n..(r + 1) * n];
-                accumulate_pattern(acc, pattern, col_start, wdata, wrows, n);
-                // Step 12 for parents: fold into the global row immediately.
-                if r < tile_valid {
-                    let local = &arena[r * n..(r + 1) * n];
-                    add_assign_slice(&mut out_chunk[r * n..(r + 1) * n], local);
-                }
-            } else {
-                if r >= tile_valid {
-                    continue; // padding row nobody depends on
-                }
-                // Steps 9–12 fused: accumulate prefix partial and weight
-                // rows straight into the global output row.
-                let out_row = &mut out_chunk[r * n..(r + 1) * n];
-                if let Some(p) = row.prefix {
-                    add_assign_slice(out_row, &arena[p * n..(p + 1) * n]);
-                }
-                accumulate_pattern(out_row, pattern, col_start, wdata, wrows, n);
-            }
+            };
+            let job = RowJob {
+                pattern,
+                col_start: tile.col_start(),
+                seed: row.prefix.map(|p| p * n),
+                store: store.then_some(r * n),
+            };
+            execute_row(&job, wdata, n, arena, out_row);
         }
     }
 }
@@ -332,7 +291,7 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign + 'static, V: TileE
 /// ranges produce bit-identical output — row groups never share output
 /// elements or carry state across each other.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_row_tiles<T: Copy + Default + AddAssign + 'static, V: TileExec>(
+pub(crate) fn execute_row_tiles<T: Copy + Default + AddAssign, V: TileExec>(
     tiles: &[V],
     gk: usize,
     weights: &WeightMatrix<T>,
@@ -341,7 +300,6 @@ pub(crate) fn execute_row_tiles<T: Copy + Default + AddAssign + 'static, V: Tile
     count: usize,
     arena: &mut Vec<T>,
     parents: &mut Vec<bool>,
-    simple: &mut Vec<bool>,
     tile_m: usize,
     n: usize,
 ) {
@@ -358,296 +316,96 @@ pub(crate) fn execute_row_tiles<T: Copy + Default + AddAssign + 'static, V: Tile
             chunk,
             arena,
             parents,
-            simple,
             n,
         );
     }
 }
 
-/// Streams the pattern bits of every `k`-tile of row `r` through one
-/// accumulation pass into `acc` (the simple-row fast path).
-// analyze: hot-path
-#[inline]
-fn accumulate_row_all_tiles<T: Copy + Default + AddAssign + 'static, V: TileExec>(
-    acc: &mut [T],
-    k_tiles: &[V],
-    r: usize,
-    wdata: &[T],
-    wrows: usize,
-    n: usize,
-) {
-    for tile in k_tiles {
-        let meta = tile.meta();
-        let wpr = meta.pattern_words();
-        // The planner sizes pattern_limbs to rows * wpr, so the range is
-        // always valid; `get` keeps the warm loop free of panic paths.
-        let Some(pattern) = meta.pattern_limbs.get(r * wpr..(r + 1) * wpr) else {
-            continue;
-        };
-        accumulate_pattern(acc, pattern, tile.col_start(), wdata, wrows, n);
-    }
-}
+/// Output columns per register-resident accumulator strip.
+const STRIP: usize = 16;
 
-/// Steps 10–11: decode the row's packed pattern limbs by bit-scan-forward
-/// and accumulate the selected weight rows into `acc` via
-/// [`add_assign_slice`].
-// analyze: hot-path
-#[inline]
-fn accumulate_pattern<T: Copy + Default + AddAssign + 'static>(
-    acc: &mut [T],
-    pattern: &[u64],
+/// One row of one `k`-tile, as [`execute_row`] replays it.
+struct RowJob<'a> {
+    /// The row's packed ProSparsity pattern limbs.
+    pattern: &'a [u64],
+    /// First weight row the pattern addresses.
     col_start: usize,
-    wdata: &[T],
-    wrows: usize,
-    n: usize,
-) {
-    // Dispatch once per row pattern, not once per set bit: the AVX2 body
-    // cannot inline into this (non-AVX2) function, so a per-bit call would
-    // pay the boundary on every short weight-row add.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_accum::try_accumulate_pattern(acc, pattern, col_start, wdata, wrows, n) {
-        return;
-    }
-    for (word, &limb) in pattern.iter().enumerate() {
-        let mut bits = limb;
-        let base = col_start + word * 64;
-        while bits != 0 {
-            let wk = base + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if wk >= wrows {
-                continue; // zero-padded tile column
-            }
-            // wk < wrows and wdata holds wrows * n elements, so the range
-            // is always valid; `get` keeps this loop free of panic paths.
-            let Some(src) = wdata.get(wk * n..wk * n + n) else {
-                continue;
-            };
-            add_assign_slice(acc, src);
-        }
-    }
+    /// Arena offset of the prefix's partial to start from (Step 9).
+    seed: Option<usize>,
+    /// Arena offset to store this row's partial at, if a later row may
+    /// load it.
+    store: Option<usize>,
 }
 
-/// Element-wise `dst[i] += src[i]` over equal-length slices — the executor's
-/// popcount-selected weight-row accumulate.
-///
-/// `i64`/`i32` slices route through the AVX2 vector add when the `simd`
-/// feature is compiled in and the CPU reports AVX2; every other element
-/// type, build, and short slice runs the scalar zip loop (bounds-check-free,
-/// so the compiler autovectorizes it where profitable). Both paths produce
-/// identical bits for integer elements.
+/// Steps 9–12 for one row, in `STRIP`-wide column strips (and one
+/// narrower tail strip when `n` is not a multiple of `STRIP`). Always
+/// inlined: left out of line, the call per row visit took about a fifth of
+/// the executor's time on 16-column outputs.
 // analyze: hot-path
-#[inline]
-fn add_assign_slice<T: Copy + AddAssign + 'static>(dst: &mut [T], src: &[T]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd_accum::try_add_slice(dst, src) {
-        return;
+#[inline(always)]
+fn execute_row<T: Copy + Default + AddAssign>(
+    job: &RowJob<'_>,
+    wdata: &[T],
+    n: usize,
+    arena: &mut [T],
+    mut out_row: Option<&mut [T]>,
+) {
+    let mut c = 0;
+    while c + STRIP <= n {
+        execute_strip(job, wdata, n, arena, out_row.as_deref_mut(), c, STRIP);
+        c += STRIP;
     }
-    for (a, &x) in dst.iter_mut().zip(src) {
-        *a += x;
+    if c < n {
+        execute_strip(job, wdata, n, arena, out_row, c, n - c);
     }
 }
 
-/// AVX2 accumulate kernels, selected by `TypeId` so the generic executor
-/// stays monomorphization-friendly: only the two integer element types the
-/// engine actually serves get vector bodies.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd_accum {
-    use std::any::TypeId;
-    use std::arch::x86_64::*;
-
-    /// Limb threshold below which the vector add has no full vector to run.
-    const MIN_SIMD_ELEMS: usize = 8;
-
-    /// Attempts a whole-pattern vector accumulate ([`super::accumulate_pattern`]
-    /// semantics); `false` means the caller must run the scalar loop. The
-    /// bit-scan loop lives *inside* the AVX2 boundary so the per-weight-row
-    /// add inlines instead of paying a cross-feature call per set bit.
-    #[inline]
-    pub(super) fn try_accumulate_pattern<T: Copy + 'static>(
-        acc: &mut [T],
-        pattern: &[u64],
-        col_start: usize,
-        wdata: &[T],
-        wrows: usize,
-        n: usize,
-    ) -> bool {
-        if n < MIN_SIMD_ELEMS || !spikemat::simd::active() {
-            return false;
-        }
-        let t = TypeId::of::<T>();
-        if t == TypeId::of::<i64>() {
-            // SAFETY: T is exactly i64 (TypeId match); AVX2 was verified.
-            unsafe {
-                pattern_i64(
-                    &mut *(std::ptr::from_mut::<[T]>(acc) as *mut [i64]),
-                    pattern,
-                    col_start,
-                    &*(std::ptr::from_ref::<[T]>(wdata) as *const [i64]),
-                    wrows,
-                    n,
-                );
-            }
-            true
-        } else if t == TypeId::of::<i32>() {
-            // SAFETY: T is exactly i32 (TypeId match); AVX2 was verified.
-            unsafe {
-                pattern_i32(
-                    &mut *(std::ptr::from_mut::<[T]>(acc) as *mut [i32]),
-                    pattern,
-                    col_start,
-                    &*(std::ptr::from_ref::<[T]>(wdata) as *const [i32]),
-                    wrows,
-                    n,
-                );
-            }
-            true
-        } else {
-            false
+/// Builds columns `c..c + width` of one row in a register-resident
+/// accumulator: seed it from the prefix's arena strip or zero, add the
+/// weight-row strips selected by the pattern's set bits (Steps 10–11,
+/// bit-scan-forward), store it to the arena if a later row may load it, and
+/// add it into the output row (Step 12). Inlined with `width == STRIP`, every
+/// loop here has a constant trip count.
+// analyze: hot-path
+#[inline(always)]
+fn execute_strip<T: Copy + Default + AddAssign>(
+    job: &RowJob<'_>,
+    wdata: &[T],
+    n: usize,
+    arena: &mut [T],
+    out_row: Option<&mut [T]>,
+    c: usize,
+    width: usize,
+) {
+    let mut acc = [T::default(); STRIP];
+    if let Some(src) = job.seed.and_then(|p| arena.get(p + c..p + c + width)) {
+        for (a, &x) in acc.iter_mut().zip(src) {
+            *a = x;
         }
     }
-
-    /// [`super::accumulate_pattern`] for `i64`, bit scan and adds fused in
-    /// one AVX2 region ([`add_i64`] inlines here — same target feature).
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support
-    /// (`spikemat::simd::active()`), and `acc` must hold at least `n`
-    /// elements.
-    // analyze: hot-path
-    #[target_feature(enable = "avx2")]
-    unsafe fn pattern_i64(
-        acc: &mut [i64],
-        pattern: &[u64],
-        col_start: usize,
-        wdata: &[i64],
-        wrows: usize,
-        n: usize,
-    ) {
-        for (word, &limb) in pattern.iter().enumerate() {
-            let mut bits = limb;
-            let base = col_start + word * 64;
-            while bits != 0 {
-                let wk = base + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if wk >= wrows {
-                    continue; // zero-padded tile column
+    for (word, &limb) in job.pattern.iter().enumerate() {
+        let mut bits = limb;
+        let base = job.col_start + word * 64;
+        while bits != 0 {
+            let off = (base + bits.trailing_zeros() as usize) * n + c;
+            bits &= bits - 1;
+            // Zero-padded tile columns address past the last weight row,
+            // where `get` finds nothing.
+            if let Some(src) = wdata.get(off..off + width) {
+                for (a, &x) in acc.iter_mut().zip(src) {
+                    *a += x;
                 }
-                let Some(src) = wdata.get(wk * n..wk * n + n) else {
-                    continue; // wk < wrows makes the range valid
-                };
-                // SAFETY: AVX2 already verified by the caller; src has
-                // exactly n elements and acc at least n.
-                unsafe { add_i64(acc.as_mut_ptr(), src.as_ptr(), n) };
             }
         }
     }
-
-    /// [`super::accumulate_pattern`] for `i32` (see [`pattern_i64`]).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`pattern_i64`].
-    // analyze: hot-path
-    #[target_feature(enable = "avx2")]
-    unsafe fn pattern_i32(
-        acc: &mut [i32],
-        pattern: &[u64],
-        col_start: usize,
-        wdata: &[i32],
-        wrows: usize,
-        n: usize,
-    ) {
-        for (word, &limb) in pattern.iter().enumerate() {
-            let mut bits = limb;
-            let base = col_start + word * 64;
-            while bits != 0 {
-                let wk = base + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if wk >= wrows {
-                    continue; // zero-padded tile column
-                }
-                let Some(src) = wdata.get(wk * n..wk * n + n) else {
-                    continue; // wk < wrows makes the range valid
-                };
-                // SAFETY: AVX2 already verified by the caller; src has
-                // exactly n elements and acc at least n.
-                unsafe { add_i32(acc.as_mut_ptr(), src.as_ptr(), n) };
-            }
+    if let Some(dst) = job.store.and_then(|r| arena.get_mut(r + c..r + c + width)) {
+        for (d, &a) in dst.iter_mut().zip(&acc) {
+            *d = a;
         }
     }
-
-    /// Attempts the vector add; `false` means the caller must run the
-    /// scalar loop (non-integer element type, short slice, or no AVX2).
-    #[inline]
-    pub(super) fn try_add_slice<T: Copy + 'static>(dst: &mut [T], src: &[T]) -> bool {
-        let n = dst.len().min(src.len());
-        if n < MIN_SIMD_ELEMS || !spikemat::simd::active() {
-            return false;
-        }
-        let t = TypeId::of::<T>();
-        if t == TypeId::of::<i64>() {
-            // SAFETY: T is exactly i64 (TypeId match); AVX2 was verified.
-            unsafe { add_i64(dst.as_mut_ptr().cast(), src.as_ptr().cast(), n) };
-            true
-        } else if t == TypeId::of::<i32>() {
-            // SAFETY: T is exactly i32 (TypeId match); AVX2 was verified.
-            unsafe { add_i32(dst.as_mut_ptr().cast(), src.as_ptr().cast(), n) };
-            true
-        } else {
-            false
-        }
-    }
-
-    /// `dst[i] += src[i]`, four `i64` lanes per instruction. Vector adds
-    /// wrap on overflow, matching release-mode scalar `+=`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must have verified AVX2 support, and `dst`/`src` must
-    /// each be valid for `n` elements.
-    // analyze: hot-path
-    #[target_feature(enable = "avx2")]
-    unsafe fn add_i64(dst: *mut i64, src: *const i64, n: usize) {
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n keeps every unaligned lane in bounds.
-            unsafe {
-                let d = _mm256_loadu_si256(dst.add(i).cast());
-                let s = _mm256_loadu_si256(src.add(i).cast());
-                _mm256_storeu_si256(dst.add(i).cast(), _mm256_add_epi64(d, s));
-            }
-            i += 4;
-        }
-        while i < n {
-            // SAFETY: i < n, so both element reads and the write are valid.
-            unsafe { *dst.add(i) = (*dst.add(i)).wrapping_add(*src.add(i)) };
-            i += 1;
-        }
-    }
-
-    /// `dst[i] += src[i]`, eight `i32` lanes per instruction.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`add_i64`].
-    // analyze: hot-path
-    #[target_feature(enable = "avx2")]
-    unsafe fn add_i32(dst: *mut i32, src: *const i32, n: usize) {
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: i + 8 <= n keeps every unaligned lane in bounds.
-            unsafe {
-                let d = _mm256_loadu_si256(dst.add(i).cast());
-                let s = _mm256_loadu_si256(src.add(i).cast());
-                _mm256_storeu_si256(dst.add(i).cast(), _mm256_add_epi32(d, s));
-            }
-            i += 8;
-        }
-        while i < n {
-            // SAFETY: i < n, so both element reads and the write are valid.
-            unsafe { *dst.add(i) = (*dst.add(i)).wrapping_add(*src.add(i)) };
-            i += 1;
+    if let Some(dst) = out_row.and_then(|o| o.get_mut(c..c + width)) {
+        for (d, &a) in dst.iter_mut().zip(&acc) {
+            *d += a;
         }
     }
 }
@@ -732,6 +490,63 @@ mod tests {
                 "trial {trial}"
             );
         }
+        // Strip boundaries: every width in STRIP_NS, both element types.
+        let inputs = [
+            ("correlated", correlated_matrix(50, 150, &mut rng)),
+            ("sparse", SpikeMatrix::random(50, 128, 0.1, &mut rng)),
+        ];
+        // Ragged in both dimensions; k > 64 gives multi-limb patterns.
+        let shapes = [
+            TileShape::new(16, 8),
+            TileShape::new(7, 70),
+            TileShape::new(64, 128),
+        ];
+        for (name, s) in &inputs {
+            for shape in shapes {
+                let plan = ProSparsityPlan::build_tiled(s, shape);
+                if *name == "correlated" {
+                    let mut rows = plan.tiles().iter().flat_map(|t| &t.rows);
+                    assert!(rows.any(|r| r.prefix.is_some()), "no prefixes");
+                }
+                for n in STRIP_NS {
+                    let what = format!("{name} {}x{} n={n}", shape.m, shape.k);
+                    let k = s.cols();
+                    let w64 = WeightMatrix::from_fn(k, n, |_, _| rng.gen_range(-100i64..100));
+                    assert_lossless(&plan, s, &w64, &what);
+                    let w32 = WeightMatrix::from_fn(k, n, |_, _| rng.gen_range(-100i32..100));
+                    assert_lossless(&plan, s, &w32, &what);
+                }
+            }
+        }
+    }
+
+    /// Output widths around the executor's 16-column strips: inside one
+    /// strip, exactly one, one plus a tail, several, and several plus a tail.
+    const STRIP_NS: [usize; 11] = [1, 7, 15, 16, 17, 31, 32, 33, 64, 128, 130];
+
+    /// Rows drawn from four base rows plus a few extra bits, so most rows
+    /// find a prefix (exact or partial match) in every tile.
+    fn correlated_matrix(m: usize, k: usize, rng: &mut impl rand::Rng) -> SpikeMatrix {
+        let bases = SpikeMatrix::random(4, k, 0.2, rng);
+        let rows = (0..m)
+            .map(|i| {
+                let mut row = bases.row(i % 4).clone();
+                for _ in 0..rng.gen_range(0..3) {
+                    row.set(rng.gen_range(0..k), true);
+                }
+                row
+            })
+            .collect();
+        SpikeMatrix::from_rows(rows)
+    }
+
+    fn assert_lossless<T>(plan: &ProSparsityPlan, s: &SpikeMatrix, w: &WeightMatrix<T>, what: &str)
+    where
+        T: Copy + Default + AddAssign + Send + Sync + PartialEq + std::fmt::Debug,
+    {
+        let want = spiking_gemm(s, w);
+        assert_eq!(execute_plan(plan, w), want, "{what}: execute_plan");
+        assert_eq!(execute_plan_serial(plan, w), want, "{what}: serial");
     }
 
     #[test]

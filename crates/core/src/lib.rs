@@ -59,7 +59,7 @@
 //!   ([`plan::ProSparsityPlan::build_tiled_serial`],
 //!   [`exec::execute_plan_serial`]) remain for ablation and testing.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

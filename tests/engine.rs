@@ -5,11 +5,12 @@
 //! eviction pressure, or temporal correlation of the input.
 
 use prosperity::core::attention::{spiking_qk, spiking_qk_with};
-use prosperity::core::engine::{threshold_spikes, Engine, EngineConfig};
-use prosperity::core::exec::prosparsity_gemm;
+use prosperity::core::engine::{threshold_spikes, Element, Engine, EngineConfig, Session};
+use prosperity::core::exec::{execute_plan, execute_plan_serial, prosparsity_gemm};
+use prosperity::core::ProSparsityPlan;
 use prosperity::models::tracegen::{TraceGen, TraceGenParams};
 use prosperity::models::Workload;
-use prosperity::spikemat::gemm::{spiking_gemm, OutputMatrix};
+use prosperity::spikemat::gemm::{spiking_gemm, OutputMatrix, WeightMatrix};
 use prosperity::spikemat::{SpikeMatrix, TileShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,6 +97,68 @@ fn engine_serial_and_parallel_agree_under_eviction() {
         s.exec_ns = 0;
         assert_eq!(p, s, "cache behaviour must match");
     }
+}
+
+/// Every executor path equals the dense reference at output widths around
+/// the executor's 16-column strips, for `i32` and `i64`, on ragged tile
+/// shapes (including `k > 64`, multi-limb patterns), with prefix-heavy and
+/// sparse inputs.
+#[test]
+fn strip_boundary_widths_are_lossless_on_every_path() {
+    let mut rng = StdRng::seed_from_u64(130);
+    // Prefix-heavy: every row is one of four base rows plus 0–2 extra bits.
+    let bases = SpikeMatrix::random(4, 150, 0.2, &mut rng);
+    let correlated = SpikeMatrix::from_rows(
+        (0..70)
+            .map(|i| {
+                let mut row = bases.row(i % 4).clone();
+                for _ in 0..rng.gen_range(0..3) {
+                    row.set(rng.gen_range(0..150), true);
+                }
+                row
+            })
+            .collect(),
+    );
+    let sparse = SpikeMatrix::random(70, 128, 0.1, &mut rng);
+    let shapes = [TileShape::new(32, 16), TileShape::new(9, 100)];
+    for s in [&correlated, &sparse] {
+        for shape in shapes {
+            let plan = ProSparsityPlan::build_tiled(s, shape);
+            for n in [1, 7, 15, 16, 17, 31, 32, 33, 64, 128, 130] {
+                let what = format!(
+                    "{}x{} tile {}x{} n={n}",
+                    s.rows(),
+                    s.cols(),
+                    shape.m,
+                    shape.k
+                );
+                let w64 = WeightMatrix::from_fn(s.cols(), n, |_, _| rng.gen_range(-99i64..99));
+                check_every_path(&plan, s, &w64, shape, &what);
+                let w32 = WeightMatrix::from_fn(s.cols(), n, |_, _| rng.gen_range(-99i32..99));
+                check_every_path(&plan, s, &w32, shape, &what);
+            }
+        }
+    }
+}
+
+/// `execute_plan`, `execute_plan_serial` and a quantum-1 sliced session
+/// each equal `spiking_gemm`.
+fn check_every_path<T>(
+    plan: &ProSparsityPlan,
+    s: &SpikeMatrix,
+    w: &WeightMatrix<T>,
+    shape: TileShape,
+    what: &str,
+) where
+    T: Element + PartialEq + std::fmt::Debug,
+{
+    let want = spiking_gemm(s, w);
+    assert_eq!(execute_plan(plan, w), want, "{what}: execute_plan");
+    assert_eq!(execute_plan_serial(plan, w), want, "{what}: serial");
+    let mut session = Session::<T>::new(EngineConfig::new(shape, 64));
+    let mut out = OutputMatrix::zeros(0, 0);
+    while !session.gemm_slice_serial(s, w, &mut out, 1).done {}
+    assert_eq!(out, want, "{what}: gemm_slice_serial quantum 1");
 }
 
 /// Attention lowered through the engine equals the direct lowering, and a
