@@ -63,7 +63,7 @@ use std::sync::Arc;
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::SpikeMatrix;
 
-use super::cache::hash_tile;
+use super::cache::hash_limbs;
 use super::session::{Session, SliceRun};
 use super::shared::SharedPlanCache;
 use super::snapshot::{ImportReport, PlanSnapshot};
@@ -227,8 +227,8 @@ pub struct BatchScheduler<T = i64> {
     /// Pooled per-lane output buffers (kept across `begin_batch`, which
     /// only retires sessions).
     outs: Vec<OutputMatrix<T>>,
-    /// Scratch tile for affinity probes.
-    probe_buf: SpikeMatrix,
+    /// Scratch flat tile key for affinity probes.
+    probe_buf: Vec<u64>,
     /// Scheduling record of the last [`BatchScheduler::run`] call.
     sched_stats: SchedulerStats,
     /// Per-lane quarantine slot: `Some` after a caught panic, until
@@ -268,7 +268,7 @@ impl<T: Element> BatchScheduler<T> {
             sessions: Vec::new(),
             next_tenant: 0,
             outs: Vec::new(),
-            probe_buf: SpikeMatrix::zeros(0, 0),
+            probe_buf: Vec::new(),
             sched_stats: SchedulerStats::default(),
             quarantine: Vec::new(),
             slice_quantum: 0,
@@ -682,14 +682,14 @@ impl<T: Element> BatchScheduler<T> {
         let mut score = 0;
         for t in 0..probes {
             let (ti, tj) = (t / gk, t % gk);
-            spikes.submatrix_into(
+            spikes.tile_key_into(
                 ti * shape.m,
                 tj * shape.k,
                 shape.m,
                 shape.k,
                 &mut self.probe_buf,
             );
-            let hash = hash_tile(&self.probe_buf);
+            let hash = hash_limbs(&self.probe_buf);
             score += i64::from(self.shared.peek(hash, &self.probe_buf));
         }
         score

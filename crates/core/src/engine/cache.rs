@@ -4,10 +4,13 @@
 //! concurrent cache many sessions hit together builds on this in
 //! [`super::shared`].
 //!
-//! Plans are keyed by tile *content* (the raw bit limbs), never by position:
-//! a fast multi-lane hash selects a bucket and a full limb comparison
-//! resolves it, so a hash collision can never substitute a wrong plan.
-//! Because [`TileMeta`] construction is a pure
+//! Plans are keyed by tile *content*, never by position. A key is one flat
+//! `&[u64]`: the tile's row-major limbs, as
+//! [`SpikeMatrix::tile_key_into`](spikemat::SpikeMatrix::tile_key_into)
+//! writes them straight from the spike rows (and as snapshots store them),
+//! so a cache hit never builds a tile. `hash_limbs` selects a bucket and
+//! one slice comparison resolves it, so a hash collision can never
+//! substitute a wrong plan. Because [`TileMeta`] construction is a pure
 //! function of the tile bits, a plan served from any cache — private or
 //! shared, inserted by any session — is value-identical to the plan the
 //! session would have built itself. That is what makes shared caching
@@ -15,7 +18,6 @@
 
 use crate::plan::TileMeta;
 use serde::{Deserialize, Serialize};
-use spikemat::SpikeMatrix;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,95 +27,39 @@ use super::snapshot::{ImportReport, SnapshotEntry};
 /// constant used by Fx-style hashers).
 const HASH_K: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Streaming 4-lane limb hash.
+/// Initial state of the hash's four lanes.
+const HASH_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// Content hash of a flat key: limb `i` folds into lane `i % 4`.
 ///
 /// Four independent lanes break the multiply dependency chain (a single
 /// folded lane costs ~5 cycles *per limb* in latency, which dominated
-/// miss-heavy streams); collisions are resolved by full limb comparison in
-/// the cache, never trusted. Streaming means a tile can be hashed straight
-/// from its rows without materializing a flat key first — bypassed misses
-/// touch no heap at all.
-#[derive(Debug, Clone)]
-struct LimbHasher {
-    lanes: [u64; 4],
-    lane: usize,
-    count: u64,
-}
-
-impl LimbHasher {
-    fn new() -> Self {
-        Self {
-            lanes: [
-                0x243F_6A88_85A3_08D3,
-                0x1319_8A2E_0370_7344,
-                0xA409_3822_299F_31D0,
-                0x082E_FA98_EC4E_6C89,
-            ],
-            lane: 0,
-            count: 0,
-        }
-    }
-
-    #[inline]
-    fn extend(&mut self, limbs: &[u64]) {
-        for &limb in limbs {
-            let lane = &mut self.lanes[self.lane];
-            *lane = (lane.rotate_left(5) ^ limb).wrapping_mul(HASH_K);
-            self.lane = (self.lane + 1) & 3;
-        }
-        self.count += limbs.len() as u64;
-    }
-
-    fn finish(self) -> u64 {
-        let mut h = self.count.wrapping_mul(HASH_K);
-        for lane in self.lanes {
-            h = (h.rotate_left(5) ^ lane).wrapping_mul(HASH_K);
-        }
-        h
-    }
-}
-
-/// Fast content hash of a flat limb sequence — identical to [`hash_tile`]
-/// over the rows whose concatenated limbs these are. The snapshot codec
-/// uses it to re-derive (and cross-check) entry hashes from stored keys.
+/// miss-heavy streams); collisions are resolved by full key comparison in
+/// the cache, never trusted. The output is part of the snapshot format
+/// (files store each entry's hash and the codec re-derives it from the
+/// stored key), so it must never change.
+// analyze: hot-path
 pub(crate) fn hash_limbs(limbs: &[u64]) -> u64 {
-    let mut h = LimbHasher::new();
-    h.extend(limbs);
-    h.finish()
-}
-
-/// Content hash of a tile, streamed row by row — identical to
-/// [`hash_limbs`] over the rows' concatenated limbs, without the copy.
-pub(crate) fn hash_tile(tile: &SpikeMatrix) -> u64 {
-    let mut h = LimbHasher::new();
-    for row in tile.row_slice() {
-        h.extend(row.limbs());
-    }
-    h.finish()
-}
-
-/// Whether a stored flat key equals the tile's row-major limbs.
-fn tile_matches(stored: &[u64], tile: &SpikeMatrix) -> bool {
-    let mut offset = 0;
-    for row in tile.row_slice() {
-        let limbs = row.limbs();
-        let end = offset + limbs.len();
-        if end > stored.len() || stored[offset..end] != *limbs {
-            return false;
+    let fold = |lane: u64, limb: u64| (lane.rotate_left(5) ^ limb).wrapping_mul(HASH_K);
+    let mut lanes = HASH_SEEDS;
+    let chunks = limbs.chunks_exact(4);
+    let rest = chunks.remainder();
+    for chunk in chunks {
+        for (lane, &limb) in lanes.iter_mut().zip(chunk) {
+            *lane = fold(*lane, limb);
         }
-        offset = end;
     }
-    offset == stored.len()
-}
-
-/// The tile's row-major limbs as an owned flat key (insertion only; lookups
-/// and bypassed misses never materialize this).
-fn key_of(tile: &SpikeMatrix) -> Box<[u64]> {
-    let mut key = Vec::with_capacity(tile.row_slice().iter().map(|r| r.limbs().len()).sum());
-    for row in tile.row_slice() {
-        key.extend_from_slice(row.limbs());
+    for (lane, &limb) in lanes.iter_mut().zip(rest) {
+        *lane = fold(*lane, limb);
     }
-    key.into_boxed_slice()
+    lanes
+        .into_iter()
+        .fold((limbs.len() as u64).wrapping_mul(HASH_K), fold)
 }
 
 /// Map keys are already hashes, so the cache map uses a pass-through hasher
@@ -319,15 +265,12 @@ impl PlanCache {
         self.restored_resident = 0;
     }
 
-    /// Looks up the plan for a tile with the given content hash, refreshing
-    /// its recency and feeding the admission estimator on both outcomes.
-    /// A hit reports whether the serving entry was snapshot-restored.
-    pub(crate) fn lookup(
-        &mut self,
-        hash: u64,
-        tile: &SpikeMatrix,
-    ) -> Option<(Arc<TileMeta>, bool)> {
-        let got = self.touch(hash, tile);
+    /// Looks up the plan for the tile with this key (and its
+    /// [`hash_limbs`]), refreshing its recency and feeding the admission
+    /// estimator on both outcomes. A hit reports whether the serving entry
+    /// was snapshot-restored.
+    pub(crate) fn lookup(&mut self, hash: u64, key: &[u64]) -> Option<(Arc<TileMeta>, bool)> {
+        let got = self.touch(hash, key);
         if let Some(a) = &mut self.admission {
             a.record(got.is_some());
         }
@@ -337,14 +280,14 @@ impl PlanCache {
     /// [`PlanCache::lookup`] without touching the admission window — the
     /// shared cache's insert-time dedup check, which must not count as a
     /// second lookup for the miss it is resolving.
-    pub(crate) fn get(&mut self, hash: u64, tile: &SpikeMatrix) -> Option<Arc<TileMeta>> {
-        self.touch(hash, tile).map(|(meta, _)| meta)
+    pub(crate) fn get(&mut self, hash: u64, key: &[u64]) -> Option<Arc<TileMeta>> {
+        self.touch(hash, key).map(|(meta, _)| meta)
     }
 
     /// Resolves a resident entry: recency refresh + per-slot hit count, no
     /// admission side effects.
-    fn touch(&mut self, hash: u64, tile: &SpikeMatrix) -> Option<(Arc<TileMeta>, bool)> {
-        let idx = self.find(hash, tile)?;
+    fn touch(&mut self, hash: u64, key: &[u64]) -> Option<(Arc<TileMeta>, bool)> {
+        let idx = self.find(hash, key)?;
         self.unlink(idx);
         self.push_front(idx);
         let slot = &mut self.slots[idx as usize];
@@ -352,28 +295,25 @@ impl PlanCache {
         Some((Arc::clone(&slot.meta), slot.restored))
     }
 
-    /// Whether a plan for this tile is resident, without touching recency
-    /// or the admission window (the batch scheduler's affinity probe).
-    pub(crate) fn peek(&self, hash: u64, tile: &SpikeMatrix) -> bool {
-        self.find(hash, tile).is_some()
+    /// Whether a plan for this key is resident, without touching recency
+    /// or the admission window (snapshot import's duplicate check and the
+    /// batch scheduler's affinity probe).
+    pub(crate) fn peek(&self, hash: u64, key: &[u64]) -> bool {
+        self.find(hash, key).is_some()
     }
 
-    fn find(&self, hash: u64, tile: &SpikeMatrix) -> Option<u32> {
+    fn find(&self, hash: u64, key: &[u64]) -> Option<u32> {
         let bucket = self.map.get(&hash)?;
         bucket
             .iter()
             .copied()
-            .find(|&i| tile_matches(&self.slots[i as usize].limbs, tile))
+            .find(|&i| *self.slots[i as usize].limbs == *key)
     }
 
     /// Offers a freshly planned tile. Consults the admission policy; on
-    /// admission, stores the key and meta, evicting the LRU entry if full.
-    pub(crate) fn insert(
-        &mut self,
-        hash: u64,
-        tile: &SpikeMatrix,
-        meta: Arc<TileMeta>,
-    ) -> InsertOutcome {
+    /// admission, stores a copy of the key and the meta, evicting the LRU
+    /// entry if full.
+    pub(crate) fn insert(&mut self, hash: u64, key: &[u64], meta: Arc<TileMeta>) -> InsertOutcome {
         if self.capacity == 0 {
             return InsertOutcome::Bypassed;
         }
@@ -388,7 +328,7 @@ impl PlanCache {
         } else {
             InsertOutcome::Inserted
         };
-        self.place(hash, key_of(tile), meta, 0, false);
+        self.place(hash, Box::from(key), meta, 0, false);
         outcome
     }
 
@@ -493,15 +433,6 @@ impl PlanCache {
         out
     }
 
-    /// Whether a plan with exactly these key limbs is resident.
-    fn find_limbs(&self, hash: u64, limbs: &[u64]) -> bool {
-        self.map.get(&hash).is_some_and(|bucket| {
-            bucket
-                .iter()
-                .any(|&i| *self.slots[i as usize].limbs == *limbs)
-        })
-    }
-
     /// Restores snapshot entries (given hottest-first) into this cache.
     ///
     /// Import is a *restore*, not traffic: it never consults or feeds the
@@ -523,7 +454,7 @@ impl PlanCache {
             // third-party ones may) — must be classified here, before the
             // room check, so they never consume a slot a later unique
             // entry was entitled to.
-            let dup = self.find_limbs(entry.hash, &entry.limbs)
+            let dup = self.peek(entry.hash, &entry.limbs)
                 || accepted
                     .iter()
                     .any(|a| a.hash == entry.hash && a.limbs == entry.limbs);

@@ -1,62 +1,84 @@
 //! Unit tests (kept beside the module, out of its main file).
 
 use super::*;
+use spikemat::SpikeMatrix;
 
 fn tile_of(rows: &[&[u8]]) -> SpikeMatrix {
     SpikeMatrix::from_rows_of_bits(rows)
 }
 
+/// The tile's flat cache key (its full-tile window).
+fn key_of(tile: &SpikeMatrix) -> Vec<u64> {
+    let mut key = Vec::new();
+    tile.tile_key_into(0, 0, tile.rows(), tile.cols(), &mut key);
+    key
+}
+
+/// Fixed, non-trivial limbs for the golden hash values.
+fn golden_input(n: u64) -> Vec<u64> {
+    (0..n)
+        .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 17))
+        .collect()
+}
+
 #[test]
-fn streaming_hash_equals_flat_hash() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(3);
-    for (m, k) in [(1, 1), (3, 70), (16, 129), (64, 64), (5, 256)] {
-        let t = SpikeMatrix::random(m, k, 0.4, &mut rng);
-        let flat: Vec<u64> = t
-            .row_slice()
-            .iter()
-            .flat_map(|r| r.limbs().iter().copied())
-            .collect();
-        assert_eq!(hash_tile(&t), hash_limbs(&flat), "{m}x{k}");
+fn hash_limbs_is_pinned_to_the_snapshot_format() {
+    // Snapshot files store each entry's hash and `decode` re-derives it from
+    // the stored key, so any change to these values would quarantine every
+    // file written before it. The lengths cover the empty key, a partial
+    // lane set, one and more full lane rounds, and a 256-row k=16 tile.
+    let golden: [(u64, u64); 7] = [
+        (0, 0xB35C_D30E_B165_0F37),
+        (1, 0x539F_261E_54B0_A63A),
+        (3, 0xFDA8_7C16_87EF_8124),
+        (4, 0xA2F7_3070_9EC4_53E3),
+        (5, 0x09A4_D7A6_F702_9E02),
+        (256, 0xF408_8C30_EA52_874C),
+        (257, 0xE8BA_3107_68DE_D419),
+    ];
+    for (n, want) in golden {
+        assert_eq!(hash_limbs(&golden_input(n)), want, "{n} limbs");
     }
 }
 
 #[test]
 fn hash_collisions_cannot_alias_plans() {
     // Force two distinct tiles into one bucket: plans still resolve by
-    // full limb comparison.
+    // full key comparison.
     let t1 = tile_of(&[&[1, 0], &[0, 1]]);
     let t2 = tile_of(&[&[0, 1], &[1, 0]]);
-    let tz = SpikeMatrix::zeros(2, 2);
+    let (k1, k2) = (key_of(&t1), key_of(&t2));
+    let kz = key_of(&SpikeMatrix::zeros(2, 2));
     let m1 = Arc::new(TileMeta::build(&t1, 0, 0));
     let m2 = Arc::new(TileMeta::build(&t2, 0, 0));
     let mut cache = PlanCache::new(8, None);
-    cache.insert(42, &t1, Arc::clone(&m1));
-    cache.insert(42, &t2, Arc::clone(&m2)); // same hash, different bits
-    let (got1, restored1) = cache.lookup(42, &t1).expect("t1 resident");
-    let (got2, _) = cache.lookup(42, &t2).expect("t2 resident");
+    cache.insert(42, &k1, Arc::clone(&m1));
+    cache.insert(42, &k2, Arc::clone(&m2)); // same hash, different bits
+    let (got1, restored1) = cache.lookup(42, &k1).expect("t1 resident");
+    let (got2, _) = cache.lookup(42, &k2).expect("t2 resident");
     assert!(Arc::ptr_eq(&got1, &m1));
     assert!(Arc::ptr_eq(&got2, &m2));
     assert!(!restored1, "live insertions are not restored entries");
-    assert!(cache.lookup(42, &tz).is_none());
+    assert!(cache.lookup(42, &kz).is_none());
+    // A key that is a prefix of a resident one is a different key.
+    assert!(cache.lookup(42, &k1[..1]).is_none());
 }
 
 #[test]
 fn lru_evicts_oldest() {
-    let tiles: Vec<SpikeMatrix> = (0..3u8)
-        .map(|i| tile_of(&[&[i & 1, (i >> 1) & 1, 1]]))
+    let keys: Vec<Vec<u64>> = (0..3u8)
+        .map(|i| key_of(&tile_of(&[&[i & 1, (i >> 1) & 1, 1]])))
         .collect();
     let mut cache = PlanCache::new(2, None);
-    for t in &tiles {
-        let meta = Arc::new(TileMeta::build(t, 0, 0));
-        cache.insert(hash_tile(t), t, meta);
+    for k in &keys {
+        let meta = Arc::new(TileMeta::empty());
+        cache.insert(hash_limbs(k), k, meta);
     }
     assert_eq!(cache.len(), 2);
     // First-inserted tile was LRU and is gone; the other two remain.
-    assert!(cache.lookup(hash_tile(&tiles[0]), &tiles[0]).is_none());
-    assert!(cache.lookup(hash_tile(&tiles[1]), &tiles[1]).is_some());
-    assert!(cache.lookup(hash_tile(&tiles[2]), &tiles[2]).is_some());
+    assert!(cache.lookup(hash_limbs(&keys[0]), &keys[0]).is_none());
+    assert!(cache.lookup(hash_limbs(&keys[1]), &keys[1]).is_some());
+    assert!(cache.lookup(hash_limbs(&keys[2]), &keys[2]).is_some());
 }
 
 #[test]
@@ -104,15 +126,13 @@ fn cache_bypasses_insertions_once_closed() {
         probe_period: 0,
     };
     let mut cache = PlanCache::new(16, Some(cfg));
-    let mut tiles = Vec::new();
-    for i in 0..6u8 {
-        tiles.push(tile_of(&[&[1, i & 1, (i >> 1) & 1, (i >> 2) & 1]]));
-    }
     let mut outcomes = Vec::new();
-    for t in &tiles {
-        let h = hash_tile(t);
-        assert!(cache.lookup(h, t).is_none());
-        outcomes.push(cache.insert(h, t, Arc::new(TileMeta::build(t, 0, 0))));
+    for i in 0..6u8 {
+        let t = tile_of(&[&[1, i & 1, (i >> 1) & 1, (i >> 2) & 1]]);
+        let k = key_of(&t);
+        let h = hash_limbs(&k);
+        assert!(cache.lookup(h, &k).is_none());
+        outcomes.push(cache.insert(h, &k, Arc::new(TileMeta::build(&t, 0, 0))));
     }
     // The window rolls during the lookup that completes it, so the
     // second miss of the all-miss window is already bypassed; only the

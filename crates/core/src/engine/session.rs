@@ -10,7 +10,7 @@ use crate::plan::{PlanScratch, TileMeta};
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::SpikeMatrix;
 
-use super::cache::{hash_tile, Admission, InsertOutcome, PlanCache};
+use super::cache::{hash_limbs, Admission, InsertOutcome, PlanCache};
 use super::pool::BufferPool;
 use super::shared::SharedPlanCache;
 use super::snapshot::{ImportReport, PlanSnapshot, SnapshotEntry};
@@ -161,8 +161,11 @@ pub struct Session<T = i64> {
     /// so the per-tile hot path locks only this window, never a registry.
     shared_admission: Option<Arc<Mutex<Admission>>>,
     plan_scratch: PlanScratch,
-    /// Scratch tile for extraction + hashing.
+    /// Scratch tile a cache miss is extracted into for planning.
     tile_buf: SpikeMatrix,
+    /// Scratch flat key (the tile's row-major limbs) every lookup hashes
+    /// and verifies.
+    key_buf: Vec<u64>,
     /// The current GeMM's placed tiles, row-major; reused across calls.
     tiles: Vec<PlacedTile>,
     /// k-tiles per row group of the current GeMM.
@@ -262,6 +265,7 @@ impl<T: Element> Session<T> {
             shared_admission: None,
             plan_scratch: PlanScratch::new(),
             tile_buf: SpikeMatrix::zeros(0, 0),
+            key_buf: Vec::new(),
             tiles: Vec::new(),
             gk: 0,
             cursor: StepCursor::default(),
@@ -380,58 +384,66 @@ impl<T: Element> Session<T> {
         let (gm, gk) = shape.grid(spikes.rows(), spikes.cols());
         self.gk = gk;
         self.tiles.clear();
-        let mut tile_buf = std::mem::take(&mut self.tile_buf);
         for ti in 0..gm {
-            let row_start = ti * shape.m;
             for tj in 0..gk {
                 let col_start = tj * shape.k;
-                spikes.submatrix_into(row_start, col_start, shape.m, shape.k, &mut tile_buf);
                 self.stats.tiles += 1;
-                let meta = Self::plan_tile(
-                    &mut self.cache,
-                    &mut self.plan_scratch,
-                    &mut self.stats,
-                    &tile_buf,
-                    self.shared_admission.as_deref(),
-                );
+                let meta = self.plan_tile(spikes, ti * shape.m, col_start);
                 self.tiles.push(PlacedTile { meta, col_start });
             }
         }
-        self.tile_buf = tile_buf;
     }
 
-    /// Resolves one extracted tile to a plan: cache hit, or plan-and-offer.
+    /// Resolves one tile to a plan: cache hit, or plan-and-offer.
     ///
-    /// For the shared backend, planning happens *outside* the shard lock so
-    /// concurrent sessions overlap their Detector/Pruner work; the offer
-    /// afterwards deduplicates racing planners (identical by construction —
-    /// planning is a pure function of the tile bits).
+    /// The lookup reads only the tile's key, built straight from the spike
+    /// rows; the tile itself is extracted into `tile_buf` on a miss, just
+    /// before planning. For the shared backend, planning happens *outside*
+    /// the shard lock so concurrent sessions overlap their Detector/Pruner
+    /// work; the offer afterwards deduplicates racing planners (identical
+    /// by construction — planning is a pure function of the tile bits).
     fn plan_tile(
-        cache: &mut CacheSlot,
-        scratch: &mut PlanScratch,
-        stats: &mut EngineStats,
-        tile: &SpikeMatrix,
-        admission: Option<&Mutex<Admission>>,
+        &mut self,
+        spikes: &SpikeMatrix,
+        row_start: usize,
+        col_start: usize,
     ) -> Arc<TileMeta> {
-        let fresh = |scratch: &mut PlanScratch| {
-            let (meta, _) = TileMeta::build_with(tile, 0, 0, scratch);
+        let Self {
+            config,
+            cache,
+            plan_scratch,
+            tile_buf,
+            key_buf,
+            shared_admission,
+            stats,
+            ..
+        } = self;
+        let shape = config.tile;
+        let admission = shared_admission.as_deref();
+        let mut fresh = || {
+            spikes.submatrix_into(row_start, col_start, shape.m, shape.k, tile_buf);
+            let (meta, _) = TileMeta::build_with(tile_buf, 0, 0, plan_scratch);
             Arc::new(meta)
+        };
+        let mut hash_key = || {
+            spikes.tile_key_into(row_start, col_start, shape.m, shape.k, key_buf);
+            hash_limbs(key_buf)
         };
         match cache {
             CacheSlot::Off => {
                 stats.cache_misses += 1;
-                fresh(scratch)
+                fresh()
             }
             CacheSlot::Private(cache) => {
-                let hash = hash_tile(tile);
-                if let Some((meta, restored)) = cache.lookup(hash, tile) {
+                let hash = hash_key();
+                if let Some((meta, restored)) = cache.lookup(hash, key_buf) {
                     stats.cache_hits += 1;
                     stats.restored_hits += u64::from(restored);
                     return meta;
                 }
                 stats.cache_misses += 1;
-                let meta = fresh(scratch);
-                match cache.insert(hash, tile, Arc::clone(&meta)) {
+                let meta = fresh();
+                match cache.insert(hash, key_buf, Arc::clone(&meta)) {
                     InsertOutcome::Inserted => {}
                     InsertOutcome::Evicted => stats.cache_evictions += 1,
                     InsertOutcome::Bypassed => stats.cache_bypasses += 1,
@@ -440,14 +452,14 @@ impl<T: Element> Session<T> {
                 meta
             }
             CacheSlot::Shared(shared) => {
-                let hash = hash_tile(tile);
-                if let Some((meta, restored)) = shared.lookup(hash, tile, admission) {
+                let hash = hash_key();
+                if let Some((meta, restored)) = shared.lookup(hash, key_buf, admission) {
                     stats.cache_hits += 1;
                     stats.restored_hits += u64::from(restored);
                     return meta;
                 }
                 stats.cache_misses += 1;
-                let (meta, outcome) = shared.insert(hash, tile, fresh(scratch), admission);
+                let (meta, outcome) = shared.insert(hash, key_buf, fresh(), admission);
                 match outcome {
                     // Deduplicated: a racing session won the insert; the
                     // resident plan is used and no admission bypass is

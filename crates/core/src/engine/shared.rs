@@ -26,7 +26,7 @@
 //! surviving tenant, keep serving.
 
 use crate::plan::TileMeta;
-use spikemat::{SpikeMatrix, TileShape};
+use spikemat::TileShape;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -62,6 +62,11 @@ struct ShardCounters {
     bypasses: u64,
     dedups: u64,
     restored_hits: u64,
+    /// Nanoseconds this shard's mutex was held across lookups and
+    /// insertions (acquisition → release), the serving hot path's
+    /// contention budget. Updated under the lock already held, so lanes
+    /// on other shards never write the same counter.
+    lock_hold_ns: u64,
 }
 
 /// One lock domain of the shared cache.
@@ -239,9 +244,6 @@ pub struct SharedPlanCache {
     admission: AdmissionTable,
     /// Poisoned shards recovered (entries dropped) — see module docs.
     shard_resets: AtomicU64,
-    /// Nanoseconds shard mutexes were held across lookups and insertions
-    /// (acquisition → release), the serving hot path's contention budget.
-    lock_hold_ns: AtomicU64,
 }
 
 impl SharedPlanCache {
@@ -311,7 +313,6 @@ impl SharedPlanCache {
             capacity,
             admission: AdmissionTable::new(admission),
             shard_resets: AtomicU64::new(0),
-            lock_hold_ns: AtomicU64::new(0),
         }
     }
 
@@ -374,9 +375,9 @@ impl SharedPlanCache {
     }
 
     /// Zeroes the per-shard aggregate counters (hits, misses, insertions,
-    /// evictions, bypasses, dedups, restored hits). Cache contents,
-    /// residency, and admission state are untouched — this resets the
-    /// *ledger*, not the cache. Visible to every session sharing this
+    /// evictions, bypasses, dedups, restored hits, lock hold time). Cache
+    /// contents, residency, and admission state are untouched — this resets
+    /// the *ledger*, not the cache. Visible to every session sharing this
     /// cache, so call it at a quiesced point (e.g.
     /// [`BatchScheduler::reset_stats`](super::BatchScheduler::reset_stats)
     /// between measurement windows).
@@ -384,7 +385,6 @@ impl SharedPlanCache {
         for s in self.shards.iter() {
             self.lock_shard(s).counters = ShardCounters::default();
         }
-        self.lock_hold_ns.store(0, Ordering::Relaxed);
     }
 
     /// One tenant-table GC sweep: advances the table's generation clock
@@ -432,13 +432,13 @@ impl SharedPlanCache {
             out.bypasses += s.counters.bypasses;
             out.dedups += s.counters.dedups;
             out.restored_hits += s.counters.restored_hits;
+            out.lock_hold_ns += s.counters.lock_hold_ns;
             out.resident += s.cache.len();
             out.restored_resident += s.cache.restored_resident();
         }
         // Read after the loop: locking every shard above recovers any
         // still-poisoned shard, so the count is settled by now.
         out.shard_resets = self.shard_resets.load(Ordering::Relaxed);
-        out.lock_hold_ns = self.lock_hold_ns.load(Ordering::Relaxed);
         out
     }
 
@@ -558,20 +558,21 @@ impl SharedPlanCache {
         self.admission.handle(tenant)
     }
 
-    /// Shard-locked lookup; refreshes recency and feeds the caller's
-    /// admission window (its session's tenant — see
+    /// Shard-locked lookup of the tile with this key (and its
+    /// [`hash_limbs`](super::cache::hash_limbs)); refreshes recency and
+    /// feeds the caller's admission window (its session's tenant — see
     /// [`SharedPlanCache::admission_handle`]). A hit reports whether the
     /// serving entry was snapshot-restored.
     pub(crate) fn lookup(
         &self,
         hash: u64,
-        tile: &SpikeMatrix,
+        key: &[u64],
         admission: Option<&Mutex<Admission>>,
     ) -> Option<(Arc<TileMeta>, bool)> {
         let found = {
             let mut shard = self.lock_shard(self.shard_of(hash));
             let held = std::time::Instant::now();
-            let found = shard.cache.lookup(hash, tile);
+            let found = shard.cache.lookup(hash, key);
             match &found {
                 Some((_, restored)) => {
                     shard.counters.hits += 1;
@@ -579,8 +580,7 @@ impl SharedPlanCache {
                 }
                 None => shard.counters.misses += 1,
             }
-            self.lock_hold_ns
-                .fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            shard.counters.lock_hold_ns += held.elapsed().as_nanos() as u64;
             found
         };
         // The shard lock is already released; the tenant's window is its
@@ -592,8 +592,8 @@ impl SharedPlanCache {
     }
 
     /// Lock-free-of-side-effects residency probe (affinity scheduling).
-    pub(crate) fn peek(&self, hash: u64, tile: &SpikeMatrix) -> bool {
-        self.lock_shard(self.shard_of(hash)).cache.peek(hash, tile)
+    pub(crate) fn peek(&self, hash: u64, key: &[u64]) -> bool {
+        self.lock_shard(self.shard_of(hash)).cache.peek(hash, key)
     }
 
     /// Offers a freshly planned tile; returns the plan to use plus the
@@ -605,7 +605,7 @@ impl SharedPlanCache {
     pub(crate) fn insert(
         &self,
         hash: u64,
-        tile: &SpikeMatrix,
+        key: &[u64],
         meta: Arc<TileMeta>,
         admission: Option<&Mutex<Admission>>,
     ) -> (Arc<TileMeta>, InsertOutcome) {
@@ -619,7 +619,7 @@ impl SharedPlanCache {
         // `lookup`, so this probe feeds neither hit/miss counters nor
         // admission; the race is recorded as its own outcome so the ledger
         // stays balanced (insertions + bypasses + dedups == misses).
-        let result = if let Some(resident) = shard.cache.get(hash, tile) {
+        let result = if let Some(resident) = shard.cache.get(hash, key) {
             shard.counters.dedups += 1;
             (resident, InsertOutcome::Deduplicated)
         // Tenant admission, consulted only for a real (non-dedup) offer.
@@ -629,7 +629,7 @@ impl SharedPlanCache {
             shard.counters.bypasses += 1;
             (meta, InsertOutcome::Bypassed)
         } else {
-            let outcome = shard.cache.insert(hash, tile, Arc::clone(&meta));
+            let outcome = shard.cache.insert(hash, key, Arc::clone(&meta));
             match outcome {
                 InsertOutcome::Inserted => shard.counters.insertions += 1,
                 InsertOutcome::Evicted => {
@@ -641,8 +641,7 @@ impl SharedPlanCache {
             }
             (meta, outcome)
         };
-        self.lock_hold_ns
-            .fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        shard.counters.lock_hold_ns += held.elapsed().as_nanos() as u64;
         result
     }
 }

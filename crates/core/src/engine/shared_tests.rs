@@ -1,26 +1,33 @@
 //! Unit tests (kept beside the module, out of its main file).
 
-use super::super::cache::hash_tile;
+use super::super::cache::hash_limbs;
 use super::*;
-use spikemat::TileShape;
+use spikemat::{SpikeMatrix, TileShape};
 
 fn tile_of(rows: &[&[u8]]) -> SpikeMatrix {
     SpikeMatrix::from_rows_of_bits(rows)
+}
+
+/// The tile's flat cache key and its hash.
+fn keyed(tile: &SpikeMatrix) -> (u64, Vec<u64>) {
+    let mut key = Vec::new();
+    tile.tile_key_into(0, 0, tile.rows(), tile.cols(), &mut key);
+    (hash_limbs(&key), key)
 }
 
 #[test]
 fn shared_cache_dedupes_racing_inserts() {
     let shared = SharedPlanCache::with_shards(64, 4, None);
     let t = tile_of(&[&[1, 0, 1], &[1, 1, 0]]);
-    let h = hash_tile(&t);
+    let (h, k) = keyed(&t);
     let m1 = Arc::new(TileMeta::build(&t, 0, 0));
     let m2 = Arc::new(TileMeta::build(&t, 0, 0));
-    let (kept1, o1) = shared.insert(h, &t, Arc::clone(&m1), None);
+    let (kept1, o1) = shared.insert(h, &k, Arc::clone(&m1), None);
     assert_eq!(o1, InsertOutcome::Inserted);
     assert!(Arc::ptr_eq(&kept1, &m1));
     // A racing planner offering the same tile gets the resident plan, and
     // the race is ledgered as a dedup, not an admission bypass.
-    let (kept2, o2) = shared.insert(h, &t, m2, None);
+    let (kept2, o2) = shared.insert(h, &k, m2, None);
     assert_eq!(o2, InsertOutcome::Deduplicated);
     assert!(Arc::ptr_eq(&kept2, &m1));
     assert_eq!(shared.len(), 1);
@@ -42,9 +49,9 @@ fn shared_cache_spreads_and_clears() {
     let mut resident = 0;
     for _ in 0..64 {
         let t = SpikeMatrix::random(shape.m, shape.k, 0.5, &mut rng);
-        let h = hash_tile(&t);
-        if shared.lookup(h, &t, None).is_none() {
-            let (_, o) = shared.insert(h, &t, Arc::new(TileMeta::build(&t, 0, 0)), None);
+        let (h, k) = keyed(&t);
+        if shared.lookup(h, &k, None).is_none() {
+            let (_, o) = shared.insert(h, &k, Arc::new(TileMeta::build(&t, 0, 0)), None);
             if o != InsertOutcome::Bypassed {
                 resident += 1;
             }
@@ -52,6 +59,11 @@ fn shared_cache_spreads_and_clears() {
     }
     assert_eq!(shared.len(), resident);
     assert!(shared.stats().hits + shared.stats().misses >= 64);
+    // Lock hold time is kept per shard and summed; resetting the ledger
+    // zeroes it with the other counters.
+    assert!(shared.stats().lock_hold_ns > 0);
+    shared.reset_stats();
+    assert_eq!(shared.stats().lock_hold_ns, 0);
     shared.clear();
     assert!(shared.is_empty());
     assert_eq!(shared.stats().resident, 0);
@@ -76,29 +88,30 @@ fn admission_is_tracked_per_tenant_not_per_shard() {
     let cold_adm = shared.admission_handle(1);
     let mut rng = StdRng::seed_from_u64(0x7E2A);
     let hot_tile = SpikeMatrix::random(4, 16, 0.4, &mut rng);
-    let hot_hash = hash_tile(&hot_tile);
+    let (hot_hash, hot_key) = keyed(&hot_tile);
     let plan = |t: &SpikeMatrix| Arc::new(TileMeta::build(t, 0, 0));
-    shared.insert(hot_hash, &hot_tile, plan(&hot_tile), hot_adm.as_deref());
+    shared.insert(hot_hash, &hot_key, plan(&hot_tile), hot_adm.as_deref());
     let mut cold_bypassed = 0u64;
     let mut hot_inserted = 0u64;
     for i in 0..64 {
         // Tenant 0 replays one tile forever: a 100 % hit stream.
         assert!(shared
-            .lookup(hot_hash, &hot_tile, hot_adm.as_deref())
+            .lookup(hot_hash, &hot_key, hot_adm.as_deref())
             .is_some());
         // Tenant 1 never repeats a tile: a 0 % hit stream.
         let cold = SpikeMatrix::random(4, 16, 0.4, &mut rng);
-        let cold_hash = hash_tile(&cold);
+        let (cold_hash, cold_key) = keyed(&cold);
         assert!(shared
-            .lookup(cold_hash, &cold, cold_adm.as_deref())
+            .lookup(cold_hash, &cold_key, cold_adm.as_deref())
             .is_none());
-        let (_, outcome) = shared.insert(cold_hash, &cold, plan(&cold), cold_adm.as_deref());
+        let (_, outcome) = shared.insert(cold_hash, &cold_key, plan(&cold), cold_adm.as_deref());
         cold_bypassed += u64::from(outcome == InsertOutcome::Bypassed);
         // The hot tenant occasionally plans something new of its own; its
         // window must stay open despite the cold tenant's misses.
         if i % 8 == 7 {
             let fresh = SpikeMatrix::random(4, 16, 0.6, &mut rng);
-            let (_, o) = shared.insert(hash_tile(&fresh), &fresh, plan(&fresh), hot_adm.as_deref());
+            let (h, k) = keyed(&fresh);
+            let (_, o) = shared.insert(h, &k, plan(&fresh), hot_adm.as_deref());
             hot_inserted += u64::from(o == InsertOutcome::Inserted);
         }
     }
@@ -124,9 +137,9 @@ fn sharded_export_interleaves_recency_and_respects_n() {
     let mut rng = StdRng::seed_from_u64(21);
     for _ in 0..32 {
         let t = SpikeMatrix::random(8, 16, 0.5, &mut rng);
-        let h = hash_tile(&t);
-        if shared.lookup(h, &t, None).is_none() {
-            shared.insert(h, &t, Arc::new(TileMeta::build(&t, 0, 0)), None);
+        let (h, k) = keyed(&t);
+        if shared.lookup(h, &k, None).is_none() {
+            shared.insert(h, &k, Arc::new(TileMeta::build(&t, 0, 0)), None);
         }
     }
     let tile = TileShape::new(8, 16);

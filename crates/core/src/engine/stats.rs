@@ -121,9 +121,10 @@ pub struct SharedCacheStats {
     /// holding it) and recovered by dropping only that shard's entries —
     /// see [`SharedPlanCache`](super::SharedPlanCache) fault tolerance.
     pub shard_resets: u64,
-    /// Nanoseconds shard mutexes were held across lookups and insertions —
-    /// the serving hot path's contention budget. Divide by
-    /// `hits + misses + insertions` for mean hold time per operation.
+    /// Nanoseconds shard mutexes were held across lookups and insertions,
+    /// summed over shards — the serving hot path's contention budget.
+    /// Divide by `hits + misses + insertions` for mean hold time per
+    /// operation.
     pub lock_hold_ns: u64,
 }
 

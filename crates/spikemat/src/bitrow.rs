@@ -18,7 +18,7 @@ use std::fmt;
 /// # Invariant
 ///
 /// Bits of the last limb above `len` are always zero. Every constructor and
-/// mutator preserves this, and the word-level kernels (`slice_into`,
+/// mutator preserves this, and the word-level kernels (`window_into`,
 /// `subset_query`, equality, popcount) rely on it.
 ///
 /// # Examples
@@ -280,29 +280,39 @@ impl BitRow {
     }
 
     /// Overwrites `out` with columns `[start, start + out.len())` of `self`,
-    /// zero-padding past the end of the row.
-    ///
-    /// This is the word-shift kernel behind [`BitRow::slice`]: each output
-    /// limb is assembled from at most two source limbs, so extraction costs
-    /// O(out.len / 64) instead of one get/set pair per bit. `out` keeps its
-    /// length and allocation, making it the zero-allocation path for tile
-    /// extraction.
+    /// zero-padding past the end of the row. `out` keeps its length and
+    /// allocation; the work is one [`BitRow::window_into`].
     pub fn slice_into(&self, start: usize, out: &mut BitRow) {
-        let n_words = out.limbs.len();
-        let word0 = start / LIMB_BITS;
+        self.window_into(start, out.len, &mut out.limbs);
+    }
+
+    /// Writes columns `[start, start + len)` of `self` into `out` as raw
+    /// limbs (LSB-first, `len.div_ceil(64)` of them), zero-padding past the
+    /// end of the row and masking the bits above `len`.
+    ///
+    /// This is the word-shift kernel behind [`BitRow::slice_into`] and
+    /// [`SpikeMatrix::tile_key_into`](crate::SpikeMatrix::tile_key_into):
+    /// each output limb is assembled from at most two source limbs, so
+    /// extraction costs O(len / 64) instead of one get/set pair per bit.
+    // analyze: hot-path
+    pub fn window_into(&self, start: usize, len: usize, out: &mut [u64]) {
+        debug_assert_eq!(out.len(), len.div_ceil(LIMB_BITS), "window limb count");
+        let src = self.limbs.get(start / LIMB_BITS..).unwrap_or(&[]);
         let shift = start % LIMB_BITS;
-        for (w, dst) in out.limbs.iter_mut().enumerate() {
-            let lo = self.limbs.get(word0 + w).copied().unwrap_or(0) >> shift;
+        for (w, dst) in out.iter_mut().enumerate() {
+            let lo = src.get(w).copied().unwrap_or(0) >> shift;
             let hi = if shift == 0 {
                 0
             } else {
-                self.limbs.get(word0 + w + 1).copied().unwrap_or(0) << (LIMB_BITS - shift)
+                src.get(w + 1).copied().unwrap_or(0) << (LIMB_BITS - shift)
             };
             *dst = lo | hi;
         }
-        let tail = out.len % LIMB_BITS;
-        if tail != 0 && n_words > 0 {
-            out.limbs[n_words - 1] &= (1u64 << tail) - 1;
+        let tail = len % LIMB_BITS;
+        if tail != 0 {
+            if let Some(last) = out.last_mut() {
+                *last &= (1u64 << tail) - 1;
+            }
         }
     }
 
@@ -454,19 +464,24 @@ mod tests {
 
     #[test]
     fn slice_matches_bitwise_reference_across_offsets() {
-        // Word-shift slicing must agree with a bit-by-bit reference for every
-        // (start, len) alignment around limb boundaries.
+        // Word-shift slicing (`slice`, `slice_into` and the `window_into`
+        // kernel under both) must agree with a bit-by-bit reference for
+        // every (start, len) alignment around limb boundaries, whatever
+        // stale bits the destination held.
         let src = BitRow::from_ones(200, &[0, 1, 5, 63, 64, 65, 127, 128, 150, 198, 199]);
         for start in [0, 1, 7, 63, 64, 65, 100, 128, 190, 199, 200, 260] {
             for len in [0, 1, 3, 63, 64, 65, 130, 200] {
-                let got = src.slice(start, len);
                 let mut expect = BitRow::zeros(len);
-                for j in 0..len {
-                    if start + j < src.len() && src.get(start + j) {
-                        expect.set(j, true);
-                    }
+                for j in (0..len).filter(|&j| start + j < src.len() && src.get(start + j)) {
+                    expect.set(j, true);
                 }
-                assert_eq!(got, expect, "start={start} len={len}");
+                assert_eq!(src.slice(start, len), expect, "start={start} len={len}");
+                let mut sliced = BitRow::from_ones(len, &(0..len).collect::<Vec<_>>());
+                src.slice_into(start, &mut sliced);
+                assert_eq!(sliced, expect, "start={start} len={len}");
+                let mut window = vec![u64::MAX; len.div_ceil(LIMB_BITS)];
+                src.window_into(start, len, &mut window);
+                assert_eq!(window, expect.limbs(), "start={start} len={len}");
             }
         }
     }

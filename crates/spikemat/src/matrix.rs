@@ -2,6 +2,7 @@
 
 use crate::bitrow::BitRow;
 use crate::tile::{TileIter, TileShape};
+use crate::LIMB_BITS;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -145,7 +146,9 @@ impl SpikeMatrix {
     ///
     /// This is the zero-allocation tile-extraction path used by the planner:
     /// together with [`BitRow::slice_into`] a steady-state tile extraction
-    /// performs no heap allocation at all.
+    /// performs no heap allocation at all. The serving engine calls it only
+    /// on a plan-cache miss, to build the tile it plans; hits are resolved
+    /// from [`SpikeMatrix::tile_key_into`] alone.
     pub fn submatrix_into(
         &self,
         row_start: usize,
@@ -165,6 +168,55 @@ impl SpikeMatrix {
             } else {
                 dst.clear();
             }
+        }
+    }
+
+    /// Writes the raw limbs of the zero-padded `m × k` tile at
+    /// `(row_start, col_start)` into `key`, row-major: `m · ⌈k/64⌉` limbs,
+    /// exactly the concatenated [`BitRow::limbs`] of
+    /// `self.submatrix(row_start, col_start, m, k)`, without building it.
+    ///
+    /// This is the plan cache's content key. When `k ≤ 64` each row's
+    /// window is one shift of the two source limbs it straddles plus a
+    /// mask; wider tiles go through [`BitRow::window_into`]. `key` is
+    /// resized in place, so a reused buffer makes this allocation-free.
+    // analyze: hot-path
+    pub fn tile_key_into(
+        &self,
+        row_start: usize,
+        col_start: usize,
+        m: usize,
+        k: usize,
+        key: &mut Vec<u64>,
+    ) {
+        let words = k.div_ceil(LIMB_BITS);
+        key.resize(m * words, 0);
+        let rows = self.rows.get(row_start..).unwrap_or(&[]);
+        let filled = rows.len().min(m) * words;
+        if words == 1 {
+            let word0 = col_start / LIMB_BITS;
+            let shift = col_start % LIMB_BITS;
+            let mask = u64::MAX >> (LIMB_BITS - k);
+            // Loop-invariant, so the loop is unswitched: a window inside
+            // one limb (every tile when k divides 64) loads only that limb.
+            let straddles = shift + k > LIMB_BITS;
+            for (dst, row) in key.iter_mut().zip(rows) {
+                let src = row.limbs();
+                let lo = u128::from(src.get(word0).copied().unwrap_or(0));
+                let hi = if straddles {
+                    u128::from(src.get(word0 + 1).copied().unwrap_or(0))
+                } else {
+                    0
+                };
+                *dst = (((hi << LIMB_BITS) | lo) >> shift) as u64 & mask;
+            }
+        } else if words > 1 {
+            for (dst, row) in key.chunks_exact_mut(words).zip(rows) {
+                row.window_into(col_start, k, dst);
+            }
+        }
+        if let Some(padding) = key.get_mut(filled..) {
+            padding.fill(0);
         }
     }
 
@@ -315,6 +367,33 @@ mod tests {
         // Width change rebuilds rows correctly.
         m.submatrix_into(1, 1, 2, 4, &mut out);
         assert_eq!(out, m.submatrix(1, 1, 2, 4));
+    }
+
+    #[test]
+    fn tile_key_equals_flattened_submatrix_limbs() {
+        // Every shift inside a limb and across limbs (all col_start in
+        // 0..K), row groups running past the last row, and windows running
+        // past the right edge. One reused key buffer also checks that stale
+        // contents of any length are fully overwritten.
+        let mut rng = StdRng::seed_from_u64(0x7117);
+        let m = SpikeMatrix::random(37, 150, 0.4, &mut rng);
+        let mut key = vec![u64::MAX; 3];
+        for k in [1, 15, 16, 17, 63, 64, 65, 128, 130] {
+            for col_start in 0..m.cols() {
+                for (row_start, rows) in [(0, 16), (16, 16), (30, 16), (37, 4), (40, 3), (0, 37)] {
+                    m.tile_key_into(row_start, col_start, rows, k, &mut key);
+                    let expect: Vec<u64> = m
+                        .submatrix(row_start, col_start, rows, k)
+                        .row_slice()
+                        .iter()
+                        .flat_map(|r| r.limbs().iter().copied())
+                        .collect();
+                    assert_eq!(key, expect, "k={k} col={col_start} rows={row_start}+{rows}");
+                }
+            }
+        }
+        m.tile_key_into(0, 0, 4, 0, &mut key);
+        assert!(key.is_empty(), "k = 0 has no limbs");
     }
 
     #[test]

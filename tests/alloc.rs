@@ -11,8 +11,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
-use prosperity::core::engine::{Engine, EngineConfig};
+use prosperity::core::engine::{AdmissionConfig, Engine, EngineConfig, Session, SharedPlanCache};
 use prosperity::spikemat::gemm::{OutputMatrix, WeightMatrix};
 use prosperity::spikemat::{SpikeMatrix, TileShape};
 use rand::rngs::StdRng;
@@ -69,43 +70,90 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::SeqCst)
 }
 
-#[test]
-fn steady_state_serving_hot_path_is_allocation_free() {
-    // --- GeMM steady state (serial path: the parallel path hands work to
-    // rayon, whose queueing inherently allocates; the serial kernel is the
-    // per-step cost model the paper's executor maps to).
-    let mut rng = StdRng::seed_from_u64(0xA110C);
-    let config = EngineConfig::new(TileShape::new(64, 64), 256);
-    let mut engine = Engine::<i64>::new(config);
-    let weights = WeightMatrix::from_fn(192, 32, |r, c| (r * 7 + c) as i64 - 100);
-    // A small rotation of inputs, all planned and cached during warmup, so
-    // steady-state steps alternate tiles while hitting the cache.
-    let inputs: Vec<SpikeMatrix> = (0..4)
-        .map(|_| SpikeMatrix::random(128, 192, 0.2, &mut rng))
-        .collect();
+/// Warms `engine` on `inputs` (plans every tile, sizes every buffer), then
+/// asserts that eight more rounds over them allocate nothing, miss nothing
+/// and stay correct.
+fn assert_steady_gemms_allocation_free(
+    label: &str,
+    engine: &mut Session<i64>,
+    inputs: &[SpikeMatrix],
+    weights: &WeightMatrix<i64>,
+) {
     let mut out = OutputMatrix::zeros(0, 0);
-    for s in &inputs {
-        engine.gemm_into_serial(s, &weights, &mut out); // plan + size buffers
-        engine.gemm_into_serial(s, &weights, &mut out); // warm the pools
+    for s in inputs {
+        engine.gemm_into_serial(s, weights, &mut out); // plan + size buffers
+        engine.gemm_into_serial(s, weights, &mut out); // warm the pools
     }
     // The counted loop below ends on the last input of the rotation.
-    let reference = engine.gemm(inputs.last().unwrap(), &weights);
+    let reference = engine.gemm(inputs.last().unwrap(), weights);
+    let misses = engine.stats().cache_misses;
 
     let gemm_allocs = count_allocs(|| {
         for _ in 0..8 {
-            for s in &inputs {
-                engine.gemm_into_serial(s, &weights, &mut out);
+            for s in inputs {
+                engine.gemm_into_serial(s, weights, &mut out);
             }
         }
     });
     assert_eq!(
         gemm_allocs, 0,
-        "steady-state serial GeMM steps must not allocate"
+        "{label}: steady-state serial GeMM steps must not allocate"
+    );
+    assert_eq!(
+        engine.stats().cache_misses,
+        misses,
+        "{label}: the counted steps must all be cache hits"
     );
     assert_eq!(
         out.as_slice(),
         reference.as_slice(),
-        "hot path stayed correct while counted"
+        "{label}: hot path stayed correct while counted"
+    );
+}
+
+#[test]
+fn steady_state_serving_hot_path_is_allocation_free() {
+    // --- GeMM steady state (serial path: the parallel path hands work to
+    // rayon, whose queueing inherently allocates; the serial kernel is the
+    // per-step cost model the paper's executor maps to). Each leg runs a
+    // small rotation of inputs, all planned and cached during warmup, so
+    // steady-state steps alternate tiles while hitting the cache.
+    let mut rng = StdRng::seed_from_u64(0xA110C);
+    let mut random_inputs = |rows, cols| -> Vec<SpikeMatrix> {
+        (0..4)
+            .map(|_| SpikeMatrix::random(rows, cols, 0.2, &mut rng))
+            .collect()
+    };
+
+    // 64×64 tiles: every key window starts on a limb boundary.
+    let config = EngineConfig::new(TileShape::new(64, 64), 256);
+    let mut engine = Engine::<i64>::new(config);
+    let weights = WeightMatrix::from_fn(192, 32, |r, c| (r * 7 + c) as i64 - 100);
+    assert_steady_gemms_allocation_free("64x64", &mut engine, &random_inputs(128, 192), &weights);
+
+    // The repository benchmark's 256×16 tiles: key windows fall inside a
+    // limb at every shift, through a private and through a shared cache.
+    let narrow = EngineConfig::new(TileShape::new(256, 16), 256);
+    let narrow_weights = WeightMatrix::from_fn(256, 16, |r, c| (r * 3 + c) as i64 - 50);
+    let narrow_inputs = random_inputs(512, 256);
+    let mut private = Session::<i64>::new(narrow);
+    assert_steady_gemms_allocation_free(
+        "256x16 private",
+        &mut private,
+        &narrow_inputs,
+        &narrow_weights,
+    );
+    let shared = Arc::new(SharedPlanCache::with_shards(
+        256,
+        4,
+        Some(AdmissionConfig::default()),
+    ));
+    let mut tenant = Session::<i64>::with_shared_tenant(narrow, shared, 3);
+    assert_steady_gemms_allocation_free(
+        "256x16 shared",
+        &mut tenant,
+        &narrow_inputs,
+        &narrow_weights,
     );
 
     // --- Snapshot encode steady state: `encode_into` reuses the caller's
