@@ -18,7 +18,7 @@
 //!    bench JSON contract script (PR 6: "every absorbed fault shows up in
 //!    a counter").
 //! 5. **cfg-feature** — every `#[cfg(feature = "...")]` names a declared
-//!    feature (keeps the `parallel`/`simd`/`fault-injection` forwarding
+//!    feature (keeps the `simd`/`fault-injection` forwarding
 //!    chains honest).
 //!
 //! Like the repo's `trace_io` codec, the crate has **zero dependencies**:

@@ -9,8 +9,8 @@
 //!
 //! * `shared_cache_{2,4,8}` — multi-tenant correlated timestep streams
 //!   (`tracegen::generate_tenant_streams`): aggregate wall time of
-//!   per-session private caches vs one shared cache under the round-robin
-//!   and cache-affinity scheduling policies. The acceptance row is 4
+//!   per-session private caches vs one shared cache under round-robin
+//!   scheduling. The acceptance row is 4
 //!   tenants: shared ≥ 1.3× aggregate over private.
 //! * `fig8_admission` — the fig8 SpikingBERT trace (rare tile repetition)
 //!   with the adaptive insertion-bypass admission policy on vs off: the
@@ -94,8 +94,6 @@ struct ServingOut {
     private_ms: f64,
     /// Aggregate wall time, shared cache, round-robin interleave.
     shared_rr_ms: f64,
-    /// Aggregate wall time, shared cache, greedy cache-affinity.
-    shared_aff_ms: f64,
     /// Fleet-merged session stats of the shared round-robin pass.
     merged: EngineStats,
     /// Per-tenant session stats of the shared round-robin pass.
@@ -109,9 +107,6 @@ struct ServingOut {
 impl ServingOut {
     fn speedup_rr(&self) -> f64 {
         self.private_ms / self.shared_rr_ms
-    }
-    fn speedup_aff(&self) -> f64 {
-        self.private_ms / self.shared_aff_ms
     }
 }
 
@@ -179,7 +174,7 @@ fn shared_vs_private(tenants: usize, smoke: bool, reps: usize) -> ServingOut {
     let traces = case.traces();
     let gemms: usize = traces.iter().map(Vec::len).sum();
 
-    // Correctness gate + stats capture for both shared policies.
+    // Correctness gate + stats capture for the shared pass.
     let want = oracle(&case, config);
     let mut sched = BatchScheduler::new(config, BatchPolicy::RoundRobin);
     sched.run(&traces, |t, s, out| {
@@ -188,13 +183,6 @@ fn shared_vs_private(tenants: usize, smoke: bool, reps: usize) -> ServingOut {
     let merged = sched.merged_stats();
     let per_session = sched.session_stats();
     let cache = sched.shared_cache().stats();
-    let mut aff = BatchScheduler::new(config, BatchPolicy::CacheAffinity);
-    aff.run(&traces, |t, s, out| {
-        assert_eq!(
-            out, &want[t][s],
-            "shared aff lost bits: tenant {t} step {s}"
-        );
-    });
 
     // Private baseline stats (fresh engines, same aggregate work).
     let mut private_merged = EngineStats::default();
@@ -229,14 +217,6 @@ fn shared_vs_private(tenants: usize, smoke: bool, reps: usize) -> ServingOut {
         });
         acc
     });
-    let shared_aff_ms = time_ms(reps, || {
-        let mut sched = BatchScheduler::new(config, BatchPolicy::CacheAffinity);
-        let mut acc = 0i64;
-        sched.run(&traces, |_, _, out| {
-            acc ^= out.as_slice().first().copied().unwrap_or(0);
-        });
-        acc
-    });
 
     ServingOut {
         name: format!("shared_cache_{tenants}"),
@@ -244,7 +224,6 @@ fn shared_vs_private(tenants: usize, smoke: bool, reps: usize) -> ServingOut {
         gemms,
         private_ms,
         shared_rr_ms,
-        shared_aff_ms,
         merged,
         per_session,
         cache,
@@ -1316,8 +1295,8 @@ fn json_scenario(r: &ServingOut) -> String {
     format!(
         concat!(
             "    {{\"name\": \"{}\", \"tenants\": {}, \"gemms\": {}, ",
-            "\"private_ms\": {:.3}, \"shared_rr_ms\": {:.3}, \"shared_aff_ms\": {:.3}, ",
-            "\"speedup_rr\": {:.2}, \"speedup_aff\": {:.2},\n",
+            "\"private_ms\": {:.3}, \"shared_rr_ms\": {:.3}, ",
+            "\"speedup_rr\": {:.2},\n",
             "     \"merged\": {},\n",
             "     \"private_merged\": {},\n",
             "     \"shared_cache\": {},\n",
@@ -1328,9 +1307,7 @@ fn json_scenario(r: &ServingOut) -> String {
         r.gemms,
         r.private_ms,
         r.shared_rr_ms,
-        r.shared_aff_ms,
         r.speedup_rr(),
-        r.speedup_aff(),
         json_stats(&r.merged),
         json_stats(&r.private_merged),
         json_shared(&r.cache),
@@ -1355,16 +1332,8 @@ fn main() {
             .unwrap_or_default(),
     );
     println!(
-        "{:<16} {:>7} {:>7} {:>11} {:>11} {:>11} {:>8} {:>8} {:>9}",
-        "scenario",
-        "tenants",
-        "gemms",
-        "private ms",
-        "rr ms",
-        "affinity",
-        "rr spd",
-        "aff spd",
-        "hit rate"
+        "{:<16} {:>7} {:>7} {:>11} {:>11} {:>11} {:>8} {:>9}",
+        "scenario", "tenants", "gemms", "private ms", "rr ms", "other ms", "rr spd", "hit rate"
     );
     let results: Vec<ServingOut> = [2usize, 4, 8]
         .iter()
@@ -1373,22 +1342,21 @@ fn main() {
         .collect();
     for r in &results {
         println!(
-            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>7.2}x {:>8.1}%",
+            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11} {:>7.2}x {:>8.1}%",
             r.name,
             r.tenants,
             r.gemms,
             r.private_ms,
             r.shared_rr_ms,
-            r.shared_aff_ms,
+            "-",
             r.speedup_rr(),
-            r.speedup_aff(),
             100.0 * r.merged.hit_rate(),
         );
     }
     let adm = wanted("fig8_admission").then(|| fig8_admission(smoke, reps));
     if let Some(adm) = &adm {
         println!(
-            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11} {:>7.2}x {:>8} {:>8.1}%",
+            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11} {:>7.2}x {:>8.1}%",
             "fig8_admission",
             1,
             adm.gemms,
@@ -1396,14 +1364,13 @@ fn main() {
             adm.on_ms,
             "-",
             adm.speedup(),
-            "-",
             100.0 * adm.stats_on.hit_rate(),
         );
     }
     let ws = wanted("warm_start").then(|| warm_start(smoke, reps));
     if let Some(ws) = &ws {
         println!(
-            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11} {:>7.2}x {:>8} {:>8.1}%",
+            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11} {:>7.2}x {:>8.1}%",
             "warm_start",
             1,
             ws.steps,
@@ -1411,7 +1378,6 @@ fn main() {
             ws.warm_ms,
             "-",
             ws.speedup(),
-            "-",
             100.0 * ws.stats_warm.hit_rate(),
         );
         println!(
@@ -1425,14 +1391,13 @@ fn main() {
     let q = wanted("qos").then(|| qos(smoke, reps));
     if let Some(q) = &q {
         println!(
-            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11.2} {:>8} {:>8} {:>9}",
+            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11.2} {:>8} {:>9}",
             "qos",
             3,
             q.steps * 3,
             q.rr_ms,
             q.weighted_ms,
             q.deadline_ms,
-            "-",
             "-",
             "-",
         );
@@ -1452,7 +1417,7 @@ fn main() {
     let pre = wanted("preemption").then(|| preemption(smoke, reps));
     if let Some(pre) = &pre {
         println!(
-            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>8} {:>9}",
+            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11.2} {:>7.2}x {:>9}",
             "preemption",
             3,
             pre.long_steps + 2 * pre.short_steps,
@@ -1460,7 +1425,6 @@ fn main() {
             pre.knee_short_ms,
             pre.knee_total_ms,
             pre.latency_improvement(),
-            "-",
             "-",
         );
         let sweep: Vec<String> = pre
@@ -1502,8 +1466,8 @@ fn main() {
     let rz = wanted("resilience").then(|| resilience(smoke, reps));
     if let Some(rz) = &rz {
         println!(
-            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11} {:>8} {:>8} {:>9}",
-            "resilience", 3, rz.survivor_gemms, rz.clean_ms, rz.faulted_ms, "-", "-", "-", "-",
+            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11} {:>8} {:>9}",
+            "resilience", 3, rz.survivor_gemms, rz.clean_ms, rz.faulted_ms, "-", "-", "-",
         );
         println!(
             "  resilience: surviving throughput {:.2}x of fault-free; {} lane fault(s), \
@@ -1520,8 +1484,8 @@ fn main() {
     let fl = wanted("fleet").then(|| fleet(smoke, reps));
     if let Some(fl) = &fl {
         println!(
-            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11.2} {:>8} {:>8} {:>9}",
-            "fleet", 3, fl.steps, fl.cold_ms, fl.warm_ms, fl.bootstrap_ms, "-", "-", "-",
+            "{:<16} {:>7} {:>7} {:>11.2} {:>11.2} {:>11.2} {:>8} {:>9}",
+            "fleet", 3, fl.steps, fl.cold_ms, fl.warm_ms, fl.bootstrap_ms, "-", "-",
         );
         println!(
             "  fleet: {} members + joiner; steady (≥{:.0}%) in {} step(s) warm-join \

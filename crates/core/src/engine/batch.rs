@@ -9,19 +9,14 @@
 //! one [`Session`] per concurrent trace (recycled across [`run`] calls, so
 //! per-session pools stay warm) and decides the interleaving order:
 //!
-//! * [`BatchPolicy::RoundRobin`] — one step per trace per round; fair, and
-//!   keeps sibling traces in temporal lockstep so their shared tiles are
-//!   resident when the next trace arrives at the same timestep.
-//! * [`BatchPolicy::CacheAffinity`] — greedy: each scheduling decision
-//!   probes the first tiles of every runnable trace's next GeMM against the
-//!   shared cache and runs the trace with the most resident plans,
-//!   breaking ties toward the lowest index. Under eviction pressure this
-//!   executes work while its plans are still hot instead of round-robining
-//!   past them.
 //! * [`BatchPolicy::Weighted`] — deficit round robin: every lane accrues
 //!   its weight in credits per round and runs one step per credit, so a
 //!   weight-3 tenant gets 3× the steps of a weight-1 tenant while both are
 //!   runnable. Credits carry the deficit across rounds.
+//! * [`BatchPolicy::RoundRobin`] — `Weighted` with every weight 1: one step
+//!   per trace per round, in trace order. Fair, and keeps sibling traces in
+//!   temporal lockstep so their shared tiles are resident when the next
+//!   trace arrives at the same timestep.
 //! * [`BatchPolicy::Deadline`] — earliest-deadline-first over per-trace
 //!   step budgets (the global step count by which the trace should have
 //!   finished), with a starvation guard so budget-less background traces
@@ -34,16 +29,16 @@
 //! [`SchedulerStats`] (per-lane steps, completion steps, credits, deadline
 //! misses).
 //!
-//! **Scheduling quantum.** By default each scheduler visit executes one
-//! whole GeMM. With [`BatchScheduler::set_slice_quantum`] the quantum
+//! **Scheduling quantum.** Every scheduler visit is one
+//! [`Session::gemm_slice`] call. By default its quantum is 0, which runs
+//! the whole GeMM. With [`BatchScheduler::set_slice_quantum`] the quantum
 //! drops below the GeMM: a visit executes at most that many *row-tiles*
-//! via the session's resumable cursor ([`Session::gemm_slice`]), then
-//! yields — so every policy can preempt a monster GeMM mid-flight, and
-//! `Weighted`/`Deadline` charge credits/budgets per slice executed rather
-//! than per whole GeMM. The sink still fires exactly once per GeMM, on
-//! its completing slice. See the `SchedulerStats` docs for how the global
-//! clock (and thus deadlines and completion steps) is denominated in
-//! sliced mode.
+//! via the session's resumable cursor, then yields — so every policy can
+//! preempt a monster GeMM mid-flight, and `Weighted`/`Deadline` charge
+//! credits/budgets per slice executed rather than per whole GeMM. The sink
+//! still fires exactly once per GeMM, on its completing slice. See the
+//! `SchedulerStats` docs for how the global clock (and thus deadlines and
+//! completion steps) is denominated in sliced mode.
 //!
 //! **Fault tolerance.** A panic inside one lane's step (planning,
 //! execution, or the caller's sink) is caught at the step boundary and
@@ -63,7 +58,6 @@ use std::sync::Arc;
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::SpikeMatrix;
 
-use super::cache::hash_limbs;
 use super::session::{Session, SliceRun};
 use super::shared::SharedPlanCache;
 use super::snapshot::{ImportReport, PlanSnapshot};
@@ -99,15 +93,52 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// One scheduler visit of `lane` at trace-local `step`: at most `quantum`
+/// row-tiles of the GeMM (0 = the rest of it) through the session's slice
+/// cursor, then `sink` if that slice completed the GeMM. Both
+/// [`BatchScheduler::run`] and [`BatchScheduler::run_concurrent`] visit
+/// lanes through here.
+///
+/// A panic in the body is caught and comes back as the lane's
+/// [`LaneFault`]. `AssertUnwindSafe` is a deliberate, audited choice: the
+/// states the closure can leave torn are this lane's session and output
+/// buffer — both unreachable after quarantine except through
+/// plain-counter stats reads — and the shared cache, whose poisoned shards
+/// recover by resetting ([`SharedPlanCache`] fault tolerance). A panicking
+/// caller `sink` vouches for its own captures by panicking into a
+/// scheduler that documents continuing.
+fn visit_lane<T: Element>(
+    session: &mut Session<T>,
+    out: &mut OutputMatrix<T>,
+    lane: usize,
+    step: usize,
+    (spikes, weights): TraceStep<'_, T>,
+    quantum: usize,
+    sink: impl FnOnce(usize, usize, &OutputMatrix<T>),
+) -> Result<SliceRun, LaneFault> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        #[cfg(any(test, feature = "fault-injection"))]
+        super::faults::maybe_panic_lane(lane, step);
+        let slice = session.gemm_slice(spikes, weights, out, quantum);
+        if slice.done {
+            sink(lane, step, out);
+        }
+        slice
+    }))
+    .map_err(|payload| LaneFault {
+        lane,
+        step,
+        reason: panic_reason(payload.as_ref()),
+    })
+}
+
 /// How the scheduler interleaves runnable traces.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum BatchPolicy {
-    /// One step per trace per round, in trace order.
+    /// One step per trace per round, in trace order: [`BatchPolicy::Weighted`]
+    /// with every weight 1.
     #[default]
     RoundRobin,
-    /// Greedy: run the trace whose next GeMM has the most plans already
-    /// resident in the shared cache.
-    CacheAffinity,
     /// Deficit round robin: lane `i` accrues `weights[i]` credits per round
     /// and runs one step per credit, so a weight-`w` tenant receives `w`×
     /// the steps of a weight-1 tenant while both are runnable. Lanes beyond
@@ -132,10 +163,6 @@ pub enum BatchPolicy {
     },
 }
 
-/// Tiles probed per trace per scheduling decision under
-/// [`BatchPolicy::CacheAffinity`].
-const AFFINITY_PROBES: usize = 4;
-
 /// Steps a runnable lane may wait under [`BatchPolicy::Deadline`] before
 /// the scheduler forces it a step regardless of its deadline rank — the
 /// starvation guard for budget-less (or latest-deadline) traces behind a
@@ -146,8 +173,6 @@ pub const DEADLINE_STARVATION_GUARD: u64 = 128;
 /// [`BatchScheduler::run`] so the loop below never re-inspects the policy
 /// enum (and so lane-count-dependent vectors are sized exactly once).
 enum PolicyState {
-    RoundRobin,
-    CacheAffinity,
     Weighted {
         /// Effective per-lane weight (defaulted and zero-clamped).
         weights: Vec<u64>,
@@ -165,8 +190,9 @@ enum PolicyState {
 impl PolicyState {
     fn new(policy: &BatchPolicy, lanes: usize) -> Self {
         match policy {
-            BatchPolicy::RoundRobin => PolicyState::RoundRobin,
-            BatchPolicy::CacheAffinity => PolicyState::CacheAffinity,
+            // Every lane beyond an empty weight vector defaults to weight
+            // 1: one step per live lane per round, in lane order.
+            BatchPolicy::RoundRobin => Self::new(&BatchPolicy::Weighted { weights: vec![] }, lanes),
             BatchPolicy::Weighted { weights } => PolicyState::Weighted {
                 weights: (0..lanes)
                     .map(|i| u64::from(weights.get(i).copied().unwrap_or(1).max(1)))
@@ -227,8 +253,6 @@ pub struct BatchScheduler<T = i64> {
     /// Pooled per-lane output buffers (kept across `begin_batch`, which
     /// only retires sessions).
     outs: Vec<OutputMatrix<T>>,
-    /// Scratch flat tile key for affinity probes.
-    probe_buf: Vec<u64>,
     /// Scheduling record of the last [`BatchScheduler::run`] call.
     sched_stats: SchedulerStats,
     /// Per-lane quarantine slot: `Some` after a caught panic, until
@@ -268,7 +292,6 @@ impl<T: Element> BatchScheduler<T> {
             sessions: Vec::new(),
             next_tenant: 0,
             outs: Vec::new(),
-            probe_buf: Vec::new(),
             sched_stats: SchedulerStats::default(),
             quarantine: Vec::new(),
             slice_quantum: 0,
@@ -501,16 +524,6 @@ impl<T: Element> BatchScheduler<T> {
         let mut t: u64 = 0;
         while !live.is_empty() {
             match &mut state {
-                PolicyState::RoundRobin => {
-                    live.retain(|&i| self.step_lane(i, &mut cursors, traces, &mut t, &mut sink));
-                }
-                PolicyState::CacheAffinity => {
-                    let pos = self.pick_by_affinity(traces, &cursors, &live);
-                    let lane = live[pos];
-                    if !self.step_lane(lane, &mut cursors, traces, &mut t, &mut sink) {
-                        live.remove(pos);
-                    }
-                }
                 PolicyState::Weighted { weights, credits } => {
                     live.retain(|&i| {
                         credits[i] += weights[i];
@@ -570,24 +583,15 @@ impl<T: Element> BatchScheduler<T> {
         self.sched_stats.shard_resets = self.shared.shard_resets();
     }
 
-    /// Executes one scheduler visit of lane `i` — its next whole GeMM, or
-    /// (with a sub-GeMM [`BatchScheduler::slice_quantum`]) the next slice
-    /// of row-tiles of its current GeMM — advances the global clock, and
-    /// records per-lane accounting. The lane's trace cursor advances (and
-    /// `sink` fires) only on a GeMM's completing slice. Returns whether
-    /// the lane still has work left — `false` also when the visit panicked
-    /// and the lane was quarantined (cursors and clock do not advance; the
-    /// step is recorded as the lane's [`LaneFault`], and a partially
-    /// executed GeMM's output is never observed — `sink` had not fired).
-    ///
-    /// The visit body runs under `catch_unwind`. `AssertUnwindSafe` is a
-    /// deliberate, audited choice: the states the closure can leave torn
-    /// are this lane's session and output buffer — both unreachable after
-    /// quarantine except through plain-counter stats reads — and the
-    /// shared cache, whose poisoned shards recover by resetting
-    /// ([`SharedPlanCache`] fault tolerance). A panicking caller `sink`
-    /// vouches for its own captures by panicking into a scheduler that
-    /// documents continuing.
+    /// Executes one scheduler visit of lane `i` — the next
+    /// [`BatchScheduler::slice_quantum`] row-tiles of its current GeMM
+    /// (all of them at quantum 0) — advances the global clock, and records
+    /// per-lane accounting. The lane's trace cursor advances (and `sink`
+    /// fires) only on a GeMM's completing slice. Returns whether the lane
+    /// still has work left — `false` also when the visit panicked and the
+    /// lane was quarantined (cursors and clock do not advance; the step is
+    /// recorded as the lane's [`LaneFault`], and a partially executed
+    /// GeMM's output is never observed — `sink` had not fired).
     fn step_lane<'a, S, F>(
         &mut self,
         lane: usize,
@@ -604,35 +608,19 @@ impl<T: Element> BatchScheduler<T> {
         let trace = traces[lane].as_ref();
         let step = cursors[lane];
         debug_assert!(step < trace.len(), "stepping an exhausted lane");
-        let (spikes, weights) = trace[step];
-        let session = &mut self.sessions[lane];
-        let out = &mut self.outs[lane];
-        let quantum = self.slice_quantum;
-        let visited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            #[cfg(any(test, feature = "fault-injection"))]
-            super::faults::maybe_panic_lane(lane, step);
-            let slice = if quantum == 0 {
-                session.gemm_into(spikes, weights, out);
-                SliceRun {
-                    row_tiles: session.planned_row_tiles(),
-                    done: true,
-                }
-            } else {
-                session.gemm_slice(spikes, weights, out, quantum)
-            };
-            if slice.done {
-                sink(lane, step, out);
-            }
-            slice
-        }));
+        let visited = visit_lane(
+            &mut self.sessions[lane],
+            &mut self.outs[lane],
+            lane,
+            step,
+            trace[step],
+            self.slice_quantum,
+            &mut *sink,
+        );
         let slice = match visited {
             Ok(slice) => slice,
-            Err(payload) => {
-                self.quarantine[lane] = Some(LaneFault {
-                    lane,
-                    step,
-                    reason: panic_reason(payload.as_ref()),
-                });
+            Err(fault) => {
+                self.quarantine[lane] = Some(fault);
                 return false;
             }
         };
@@ -651,50 +639,6 @@ impl<T: Element> BatchScheduler<T> {
         }
     }
 
-    /// Greedy choice over the live lanes: the one whose next GeMM has the
-    /// most probed tiles resident in the shared cache (ties → lowest
-    /// index). Returns a *position* into `live`.
-    fn pick_by_affinity<'a, S>(&mut self, traces: &[S], cursors: &[usize], live: &[usize]) -> usize
-    where
-        T: 'a,
-        S: AsRef<[TraceStep<'a, T>]>,
-    {
-        let mut best = usize::MAX;
-        let mut best_score = -1i64;
-        for (pos, &i) in live.iter().enumerate() {
-            let trace = traces[i].as_ref();
-            let score = self.affinity(trace[cursors[i]].0);
-            if score > best_score {
-                best_score = score;
-                best = pos;
-            }
-        }
-        debug_assert_ne!(best, usize::MAX, "no runnable trace");
-        best
-    }
-
-    /// Number of this matrix's first [`AFFINITY_PROBES`] tiles resident in
-    /// the shared cache (recency and admission are untouched).
-    fn affinity(&mut self, spikes: &SpikeMatrix) -> i64 {
-        let shape = self.config.tile;
-        let (gm, gk) = shape.grid(spikes.rows(), spikes.cols());
-        let probes = (gm * gk).min(AFFINITY_PROBES);
-        let mut score = 0;
-        for t in 0..probes {
-            let (ti, tj) = (t / gk, t % gk);
-            spikes.tile_key_into(
-                ti * shape.m,
-                tj * shape.k,
-                shape.m,
-                shape.k,
-                &mut self.probe_buf,
-            );
-            let hash = hash_limbs(&self.probe_buf);
-            score += i64::from(self.shared.peek(hash, &self.probe_buf));
-        }
-        score
-    }
-
     /// Runs every trace to completion with one worker thread per trace,
     /// all planning through the shared cache. `sink` is called from worker
     /// threads and must synchronize its own state. The interleaving policy
@@ -706,11 +650,11 @@ impl<T: Element> BatchScheduler<T> {
     /// execution): the only cross-thread state is the content-addressed
     /// cache, and plans are deterministic in the tile bits.
     ///
-    /// Fault tolerance matches [`BatchScheduler::run`]: a panic in one
-    /// lane's step (caught per step, same `AssertUnwindSafe` audit as the
-    /// serial path) quarantines that lane and stops only its own worker;
+    /// Each worker runs its lane's GeMMs as whole-GeMM visits (quantum 0)
+    /// into the lane's pooled output buffer, through the same visit body
+    /// as [`BatchScheduler::run`], so fault tolerance matches: a panic in
+    /// one lane's step quarantines that lane and stops only its own worker;
     /// the other workers — and the scope join — proceed normally.
-    #[cfg(feature = "parallel")]
     pub fn run_concurrent<'a, S, F>(&mut self, traces: &[S], sink: F)
     where
         T: 'a,
@@ -729,7 +673,8 @@ impl<T: Element> BatchScheduler<T> {
         #[cfg(any(test, feature = "fault-injection"))]
         let fault_state = super::faults::snapshot();
         std::thread::scope(|scope| {
-            for (lane, (session, trace)) in self.sessions.iter_mut().zip(traces).enumerate() {
+            let lanes = self.sessions.iter_mut().zip(&mut self.outs).zip(traces);
+            for (lane, ((session, out), trace)) in lanes.enumerate() {
                 if skip[lane] {
                     continue;
                 }
@@ -741,21 +686,9 @@ impl<T: Element> BatchScheduler<T> {
                     // reach the workers.
                     #[cfg(any(test, feature = "fault-injection"))]
                     let _faults = super::faults::adopt(fault_state);
-                    let mut out = OutputMatrix::zeros(0, 0);
-                    for (step, &(spikes, weights)) in trace.as_ref().iter().enumerate() {
-                        let stepped =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                #[cfg(any(test, feature = "fault-injection"))]
-                                super::faults::maybe_panic_lane(lane, step);
-                                session.gemm_into(spikes, weights, &mut out);
-                                sink(lane, step, &out);
-                            }));
-                        if let Err(payload) = stepped {
-                            super::shared::lock_recovering(caught_ref).push(LaneFault {
-                                lane,
-                                step,
-                                reason: panic_reason(payload.as_ref()),
-                            });
+                    for (step, &pair) in trace.as_ref().iter().enumerate() {
+                        if let Err(fault) = visit_lane(session, out, lane, step, pair, 0, sink) {
+                            super::shared::lock_recovering(caught_ref).push(fault);
                             return;
                         }
                     }
@@ -817,26 +750,6 @@ mod tests {
         assert_eq!(sched.scheduler_stats().lane_steps, vec![2, 2, 2]);
         // Round robin finishes the lanes in lane order, on the last round.
         assert_eq!(sched.scheduler_stats().completion_steps, vec![4, 5, 6]);
-    }
-
-    #[test]
-    fn affinity_policy_is_still_exhaustive_and_exact() {
-        let (tenants, w) = traces_for_test();
-        let traces: Vec<Vec<TraceStep<'_, i64>>> = tenants
-            .iter()
-            .map(|t| vec![(t, &w), (t, &w), (t, &w)])
-            .collect();
-        let mut sched = BatchScheduler::new(
-            EngineConfig::new(TileShape::new(8, 8), 128),
-            BatchPolicy::CacheAffinity,
-        );
-        let mut count = 0;
-        sched.run(&traces, |lane, _, out| {
-            assert_eq!(out, &spiking_gemm(&tenants[lane], &w));
-            count += 1;
-        });
-        assert_eq!(count, 9);
-        assert_eq!(sched.policy(), &BatchPolicy::CacheAffinity);
     }
 
     #[test]
@@ -1024,7 +937,6 @@ mod tests {
         ];
         for policy in [
             BatchPolicy::RoundRobin,
-            BatchPolicy::CacheAffinity,
             BatchPolicy::Weighted {
                 weights: vec![2, 1, 3],
             },
@@ -1170,7 +1082,6 @@ mod tests {
         assert_eq!(stats.completion_steps[2], 8);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn concurrent_injected_panic_quarantines_without_aborting() {
         use super::super::faults;
@@ -1307,7 +1218,6 @@ mod tests {
         assert_eq!(stats.completion_steps[0], 32, "all 32 row-tiles executed");
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn concurrent_run_matches_serial_oracle() {
         use std::sync::Mutex;

@@ -296,8 +296,7 @@ impl PlanCache {
     }
 
     /// Whether a plan for this key is resident, without touching recency
-    /// or the admission window (snapshot import's duplicate check and the
-    /// batch scheduler's affinity probe).
+    /// or the admission window (snapshot import's duplicate check).
     pub(crate) fn peek(&self, hash: u64, key: &[u64]) -> bool {
         self.find(hash, key).is_some()
     }

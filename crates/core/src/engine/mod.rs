@@ -52,13 +52,12 @@
 //! * **Buffer pooling** — output matrices, executor arenas, and the
 //!   spike-chain ping-pong buffers are recycled across layers, calls, and
 //!   (via the [`BatchScheduler`]'s persistent lanes) whole traces.
-//! * **Row-tile parallelism** — with the `parallel` feature (default),
-//!   execution distributes row-tiles across threads exactly like
-//!   [`crate::exec::execute_plan`], with bit-identical results; the
-//!   `*_serial` entry points remain the oracle.
-//! * **QoS scheduling + lifecycle** — beyond round-robin and
-//!   cache-affinity, the [`BatchScheduler`] offers
-//!   [`BatchPolicy::Weighted`] (deficit-round-robin step shares) and
+//! * **Row-tile parallelism** — execution distributes row-tiles across
+//!   the rayon workers exactly like [`crate::exec::execute_plan`], with
+//!   bit-identical results; the `*_serial` entry points remain the oracle.
+//! * **QoS scheduling + lifecycle** — the [`BatchScheduler`] runs
+//!   [`BatchPolicy::Weighted`] (deficit-round-robin step shares; the
+//!   default [`BatchPolicy::RoundRobin`] is every weight 1) and
 //!   [`BatchPolicy::Deadline`] (earliest-deadline-first over step budgets
 //!   with a starvation guard), recorded in [`SchedulerStats`]; a
 //!   [`ServingLoop`] adds the long-running-process jobs — background
@@ -109,21 +108,10 @@ use spikemat::gemm::OutputMatrix;
 use spikemat::{SpikeMatrix, TileShape};
 use std::ops::AddAssign;
 
-/// Element types the engine can accumulate.
-///
-/// With the `parallel` feature this additionally requires `Send + Sync` so
-/// row-tiles can execute across threads; every integer and float type
-/// qualifies either way.
-#[cfg(feature = "parallel")]
+/// Element types the engine can accumulate: `Send + Sync` so row-tiles can
+/// execute across threads (every integer and float type qualifies).
 pub trait Element: Copy + Default + AddAssign + Send + Sync + 'static {}
-#[cfg(feature = "parallel")]
 impl<T: Copy + Default + AddAssign + Send + Sync + 'static> Element for T {}
-
-/// Element types the engine can accumulate (serial build).
-#[cfg(not(feature = "parallel"))]
-pub trait Element: Copy + Default + AddAssign + 'static {}
-#[cfg(not(feature = "parallel"))]
-impl<T: Copy + Default + AddAssign + 'static> Element for T {}
 
 /// Session construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

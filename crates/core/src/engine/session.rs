@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-#[cfg(feature = "parallel")]
-use crate::exec::execute_row_tile;
-use crate::exec::{execute_row_tiles, TileExec};
+use crate::exec::{execute_row_tile, execute_row_tiles, TileExec};
 use crate::plan::{PlanScratch, TileMeta};
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::SpikeMatrix;
@@ -477,20 +475,23 @@ impl<T: Element> Session<T> {
     /// buffer makes the call allocation-free apart from cache insertions).
     ///
     /// Bit-identical to [`crate::exec::prosparsity_gemm`] with this
-    /// session's tile shape; row-tiles run across threads with the
-    /// `parallel` feature.
+    /// session's tile shape; row-tiles run across the rayon workers.
     ///
     /// # Panics
     ///
-    /// Panics if `spikes.cols() != weights.rows()`.
+    /// Panics if `spikes.cols() != weights.rows()`. Debug builds also
+    /// panic while a sliced GeMM is in flight.
     pub fn gemm_into(
         &mut self,
         spikes: &SpikeMatrix,
         weights: &WeightMatrix<T>,
         out: &mut OutputMatrix<T>,
     ) {
-        self.gemm_prepare(spikes, weights, out, true);
-        self.timed_execute(|s| s.execute_current(weights, out));
+        debug_assert!(
+            !self.cursor.active,
+            "gemm_into while a sliced GeMM is in flight"
+        );
+        self.gemm_slice(spikes, weights, out, 0);
     }
 
     /// Strictly single-threaded [`Session::gemm_into`]; the oracle the
@@ -502,8 +503,11 @@ impl<T: Element> Session<T> {
         weights: &WeightMatrix<T>,
         out: &mut OutputMatrix<T>,
     ) {
-        self.gemm_prepare(spikes, weights, out, true);
-        self.timed_execute(|s| s.execute_current_serial(weights, out));
+        debug_assert!(
+            !self.cursor.active,
+            "gemm_into_serial while a sliced GeMM is in flight"
+        );
+        self.gemm_slice_serial(spikes, weights, out, 0);
     }
 
     /// Convenience [`Session::gemm_into`] allocating a fresh output.
@@ -516,18 +520,17 @@ impl<T: Element> Session<T> {
     /// Executes up to `max_row_tiles` row-tiles of one spiking GeMM and
     /// yields — the preemptible form of [`Session::gemm_into`].
     ///
-    /// The first visit plans the whole GeMM (one plan-cache pass, exactly as
-    /// `gemm_into` would) and resets `out`; each visit then executes a
-    /// bounded slice of row-tiles, fanned across rayon workers with the
-    /// `parallel` feature. Keep calling with the *same* `spikes`, `weights`,
-    /// and `out` until the returned [`SliceRun::done`] is true; only then is
-    /// `out` the complete GeMM result. Row-tiles are independent (no output
-    /// element or scratch state crosses a row-group boundary), so any
-    /// partition into slices is bit-identical to the one-shot call.
+    /// The first visit plans the whole GeMM (one plan-cache pass) and
+    /// resets `out`; each visit then executes a bounded slice of row-tiles,
+    /// fanned across rayon workers. Keep calling with the *same* `spikes`,
+    /// `weights`, and `out` until the returned [`SliceRun::done`] is true;
+    /// only then is `out` the complete GeMM result. Row-tiles are
+    /// independent (no output element or scratch state crosses a row-group
+    /// boundary), so any partition into slices is bit-identical to the
+    /// one-shot call.
     ///
-    /// `max_row_tiles == 0` means "the rest of the GeMM" (one visit behaves
-    /// exactly like `gemm_into`). [`EngineStats`] accounting is identical to
-    /// the unsliced call: `gemms`/`tiles`/`plan_ns` accrue once at plan
+    /// `max_row_tiles == 0` means "the rest of the GeMM": `gemm_into` is
+    /// this call with 0. `gemms`/`tiles`/`plan_ns` accrue once at plan
     /// time, `exec_ns` accrues per slice.
     ///
     /// # Panics
@@ -577,7 +580,7 @@ impl<T: Element> Session<T> {
     }
 
     /// Row-tiles (row groups) the most recent plan placed.
-    pub(crate) fn planned_row_tiles(&self) -> usize {
+    fn planned_row_tiles(&self) -> usize {
         self.tiles.len().checked_div(self.gk).unwrap_or(0)
     }
 
@@ -674,22 +677,10 @@ impl<T: Element> Session<T> {
         self.stats.exec_ns += executed.elapsed().as_nanos() as u64;
     }
 
-    /// Executes the tiles placed by the last `plan` call into `out` (the
-    /// whole GeMM is one maximal slice).
-    fn execute_current(&self, weights: &WeightMatrix<T>, out: &mut OutputMatrix<T>) {
-        self.execute_slice(weights, out, 0, self.planned_row_tiles());
-    }
-
-    /// Serial row-tile sweep over the placed tiles.
-    fn execute_current_serial(&self, weights: &WeightMatrix<T>, out: &mut OutputMatrix<T>) {
-        self.execute_slice_serial(weights, out, 0, self.planned_row_tiles());
-    }
-
     /// Executes `count` row-tiles starting at row group `start` of the last
     /// plan into their chunks of `out`; the group's ready row-tiles fan out
     /// across rayon workers.
     // analyze: hot-path
-    #[cfg(feature = "parallel")]
     fn execute_slice(
         &self,
         weights: &WeightMatrix<T>,
@@ -732,22 +723,7 @@ impl<T: Element> Session<T> {
         });
     }
 
-    /// Executes `count` row-tiles starting at row group `start` of the last
-    /// plan into their chunks of `out` (serial build).
-    // analyze: hot-path
-    #[cfg(not(feature = "parallel"))]
-    fn execute_slice(
-        &self,
-        weights: &WeightMatrix<T>,
-        out: &mut OutputMatrix<T>,
-        start: usize,
-        count: usize,
-    ) {
-        self.execute_slice_serial(weights, out, start, count);
-    }
-
-    /// Single-threaded slice executor (shared with the serial whole-GeMM
-    /// path via [`execute_row_tiles`]).
+    /// Single-threaded slice executor over [`execute_row_tiles`].
     // analyze: hot-path
     fn execute_slice_serial(
         &self,
@@ -830,7 +806,9 @@ impl<T: Element> Session<T> {
             {
                 let src: &SpikeMatrix = if i == 0 { input } else { &ping };
                 self.gemm_prepare(src, weights, &mut acc, false);
-                self.timed_execute(|s| s.execute_current(weights, &mut acc));
+                self.timed_execute(|s| {
+                    s.execute_slice(weights, &mut acc, 0, s.planned_row_tiles())
+                });
             }
             super::threshold_spikes(&acc, threshold, &mut pong);
             std::mem::swap(&mut ping, &mut pong);

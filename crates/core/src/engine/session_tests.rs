@@ -283,3 +283,19 @@ fn shape_mismatch_panics() {
     let mut out = OutputMatrix::zeros(0, 0);
     engine.gemm_into(&s, &w, &mut out);
 }
+
+/// `gemm_into` is `gemm_slice(.., 0)`: called while a sliced GeMM is in
+/// flight it would silently resume that GeMM, so debug builds refuse.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "in flight")]
+fn gemm_into_refuses_to_resume_an_in_flight_slice() {
+    let mut rng = StdRng::seed_from_u64(19);
+    let s = SpikeMatrix::random(32, 8, 0.3, &mut rng);
+    let w = WeightMatrix::from_fn(8, 4, |r, c| (r + c) as i64);
+    let mut engine = Engine::new(EngineConfig::new(TileShape::new(8, 8), 16));
+    let mut out = OutputMatrix::zeros(0, 0);
+    let run = engine.gemm_slice(&s, &w, &mut out, 1);
+    assert!(!run.done, "quantum 1 leaves 3 of 4 row-tiles pending");
+    engine.gemm_into(&s, &w, &mut out);
+}

@@ -591,11 +591,6 @@ impl SharedPlanCache {
         found
     }
 
-    /// Lock-free-of-side-effects residency probe (affinity scheduling).
-    pub(crate) fn peek(&self, hash: u64, key: &[u64]) -> bool {
-        self.lock_shard(self.shard_of(hash)).cache.peek(hash, key)
-    }
-
     /// Offers a freshly planned tile; returns the plan to use plus the
     /// insertion outcome. If a racing session inserted the same tile
     /// while this one was planning, the resident plan wins (deduplication)

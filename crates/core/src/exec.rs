@@ -24,10 +24,10 @@
 //!   the tile loop. Only rows that a later row loads as its prefix store
 //!   their partial there; when `n` fits in one strip every row stores, which
 //!   costs less than finding the prefix rows.
-//! * Row-tiles own disjoint output rows, so with the `parallel` feature
-//!   (default) they execute across threads over disjoint `&mut` chunks of the
-//!   output; the `k`-tiles of one row group fold sequentially into that
-//!   chunk, which keeps the result bit-identical to the serial kernel.
+//! * Row-tiles own disjoint output rows, so they execute across threads
+//!   over disjoint `&mut` chunks of the output; the `k`-tiles of one row
+//!   group fold sequentially into that chunk, which keeps the result
+//!   bit-identical to the serial kernel.
 //!
 //! With integer weights the result is bit-for-bit equal to the reference
 //! [`spikemat::gemm::spiking_gemm`]; this is the paper's losslessness claim
@@ -47,25 +47,7 @@ use std::ops::AddAssign;
 /// # Panics
 ///
 /// Panics if `spikes.cols() != weights.rows()`.
-#[cfg(feature = "parallel")]
 pub fn prosparsity_gemm<T: Copy + Default + AddAssign + Send + Sync>(
-    spikes: &SpikeMatrix,
-    weights: &WeightMatrix<T>,
-    shape: TileShape,
-) -> OutputMatrix<T> {
-    let plan = ProSparsityPlan::build_tiled(spikes, shape);
-    execute_plan(&plan, weights)
-}
-
-/// Executes a spiking GeMM under product sparsity with tile shape `shape`.
-///
-/// Serial build of [`prosparsity_gemm`] (the `parallel` feature is off).
-///
-/// # Panics
-///
-/// Panics if `spikes.cols() != weights.rows()`.
-#[cfg(not(feature = "parallel"))]
-pub fn prosparsity_gemm<T: Copy + Default + AddAssign>(
     spikes: &SpikeMatrix,
     weights: &WeightMatrix<T>,
     shape: TileShape,
@@ -80,7 +62,6 @@ pub fn prosparsity_gemm<T: Copy + Default + AddAssign>(
 /// # Panics
 ///
 /// Panics if the plan's source column count differs from `weights.rows()`.
-#[cfg(feature = "parallel")]
 pub fn execute_plan<T: Copy + Default + AddAssign + Send + Sync>(
     plan: &ProSparsityPlan,
     weights: &WeightMatrix<T>,
@@ -112,21 +93,6 @@ pub fn execute_plan<T: Copy + Default + AddAssign + Send + Sync>(
         );
     });
     out
-}
-
-/// Replays a previously built plan against a weight matrix.
-///
-/// Serial build of [`execute_plan`] (the `parallel` feature is off).
-///
-/// # Panics
-///
-/// Panics if the plan's source column count differs from `weights.rows()`.
-#[cfg(not(feature = "parallel"))]
-pub fn execute_plan<T: Copy + Default + AddAssign>(
-    plan: &ProSparsityPlan,
-    weights: &WeightMatrix<T>,
-) -> OutputMatrix<T> {
-    execute_plan_serial(plan, weights)
 }
 
 /// Strictly single-threaded [`execute_plan`]; the baseline the parallel

@@ -53,9 +53,9 @@
 //!   scan (see [`plan`]), with `detect`/`prune` kept as the oracle;
 //! * the executor accumulates into a flat per-row-tile arena with no heap
 //!   allocation inside the tile loop (see [`exec`]);
-//! * with the `parallel` feature (**on by default**) both stages distribute
-//!   independent tiles / row-tiles across threads via `rayon`, with
-//!   bit-identical results — serial reference entry points
+//! * both stages distribute independent tiles / row-tiles across threads
+//!   via `rayon` (`RAYON_NUM_THREADS` sets the count), with bit-identical
+//!   results — serial reference entry points
 //!   ([`plan::ProSparsityPlan::build_tiled_serial`],
 //!   [`exec::execute_plan_serial`]) remain for ablation and testing.
 
@@ -82,25 +82,19 @@ pub use engine::{
     SharedPlanCache,
 };
 
-/// Whether this build of the crate distributes planning/execution across
-/// threads (the `parallel` feature, on by default).
+/// Whether planning/execution can distribute across threads. Always true:
+/// the thread count, not a build flag, selects the serial program (see
+/// [`parallel_threads`]). Kept for bench provenance lines.
 pub fn parallel_enabled() -> bool {
-    cfg!(feature = "parallel")
+    true
 }
 
 /// Worker threads the parallel paths will actually use: rayon's pool size
-/// with the `parallel` feature (respects `RAYON_NUM_THREADS`), 1 without.
-/// Benches record this as `threads_effective` so single-core runs are not
-/// held to parallel≥serial expectations.
+/// (respects `RAYON_NUM_THREADS`). At 1 they run the serial code. Benches
+/// record this as `threads_effective` so single-core runs are not held to
+/// parallel≥serial expectations.
 pub fn parallel_threads() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        rayon::current_num_threads()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+    rayon::current_num_threads()
 }
 
 /// Whether this build compiles the AVX2 limb-kernel fast paths *and* the

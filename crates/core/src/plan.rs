@@ -28,10 +28,9 @@
 //! The Dispatcher's bitonic network statistics are data-independent, so the
 //! builder takes them from [`BitonicSorter::model`] and orders rows with a
 //! stable sort. Tile extraction reuses one scratch [`SpikeMatrix`] per worker
-//! ([`SpikeMatrix::submatrix_into`]), and with the `parallel` feature
-//! (default) independent tiles are planned across threads. The staged
-//! `detect_tile`/`prune_tile` functions remain the property-test oracle for
-//! this fused path.
+//! ([`SpikeMatrix::submatrix_into`]), and independent tiles are planned
+//! across threads. The staged `detect_tile`/`prune_tile` functions remain
+//! the property-test oracle for this fused path.
 
 use crate::forest::ProSparsityForest;
 use crate::order::BitonicSorter;
@@ -347,8 +346,8 @@ impl ProSparsityPlan {
 
     /// Plans the matrix under the accelerator tile geometry `shape`.
     ///
-    /// Tiles are planned independently; with the `parallel` feature (default)
-    /// they are split into contiguous row-major ranges across worker threads,
+    /// Tiles are planned independently: they are split into contiguous
+    /// row-major ranges across the rayon workers (one range at one thread),
     /// each worker reusing one scratch tile buffer. The result is identical
     /// to the serial build ([`ProSparsityPlan::build_tiled_serial`]).
     pub fn build_tiled(spikes: &SpikeMatrix, shape: TileShape) -> Self {
@@ -397,7 +396,6 @@ impl ProSparsityPlan {
         }
     }
 
-    #[cfg(feature = "parallel")]
     fn build_parts(
         spikes: &SpikeMatrix,
         shape: TileShape,
@@ -417,16 +415,6 @@ impl ProSparsityPlan {
             .into_par_iter()
             .map(|r| build_tile_range(spikes, shape, gk, r))
             .collect()
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn build_parts(
-        spikes: &SpikeMatrix,
-        shape: TileShape,
-        gk: usize,
-        n_tiles: usize,
-    ) -> Vec<(Vec<TileMeta>, ProStats)> {
-        vec![build_tile_range(spikes, shape, gk, 0..n_tiles)]
     }
 
     /// The tile geometry used.

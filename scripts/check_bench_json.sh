@@ -103,7 +103,7 @@ done
 need BENCH_serving.json 'has("threads_effective")' "serving threads_effective"
 need BENCH_serving.json \
     '[.scenarios[] | select(.name | startswith("shared_cache_"))
-      | has("private_ms") and has("shared_rr_ms") and has("shared_aff_ms")
+      | has("private_ms") and has("shared_rr_ms")
       and has("merged") and has("private_merged") and has("shared_cache") and has("sessions")] | all' \
     "shared_cache row fields"
 need BENCH_serving.json \

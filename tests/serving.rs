@@ -67,7 +67,7 @@ fn traces_of(batch: &TenantBatch) -> Vec<Vec<TraceStep<'_, i64>>> {
 }
 
 /// Acceptance property: shared-cache sessions interleaved by the batch
-/// scheduler (both policies) are bit-identical to the serial private-cache
+/// scheduler (every policy) are bit-identical to the serial private-cache
 /// oracle, across ragged tilings and eviction-pressure-sized caches.
 #[test]
 fn scheduled_shared_sessions_match_serial_private_oracle() {
@@ -81,7 +81,6 @@ fn scheduled_shared_sessions_match_serial_private_oracle() {
         let traces = traces_of(&batch);
         let policies = [
             BatchPolicy::RoundRobin,
-            BatchPolicy::CacheAffinity,
             BatchPolicy::Weighted {
                 weights: (0..batch.streams.len())
                     .map(|_| rng.gen_range(1..5))
@@ -131,6 +130,11 @@ fn scheduled_shared_sessions_match_serial_private_oracle() {
 /// independent, so slicing a GeMM across scheduler visits may change only
 /// *when* row-tiles execute, never what they produce — and the row-tile
 /// accounting must come out identical whatever the quantum.
+///
+/// It also pins the equivalence the scheduler is built on: `RoundRobin` is
+/// deficit round robin with every weight 1, so at every quantum a
+/// unit-weight `Weighted` run fires the sink in the same `(lane, step)`
+/// order and records the same `SchedulerStats`.
 #[test]
 fn sliced_scheduling_matches_serial_private_oracle_across_quanta() {
     let mut rng = StdRng::seed_from_u64(0x51CE);
@@ -142,7 +146,9 @@ fn sliced_scheduling_matches_serial_private_oracle_across_quanta() {
         let traces = traces_of(&batch);
         let policies = [
             BatchPolicy::RoundRobin,
-            BatchPolicy::CacheAffinity,
+            BatchPolicy::Weighted {
+                weights: vec![1; batch.streams.len()],
+            },
             BatchPolicy::Weighted {
                 weights: (0..batch.streams.len())
                     .map(|_| rng.gen_range(1..5))
@@ -154,21 +160,35 @@ fn sliced_scheduling_matches_serial_private_oracle_across_quanta() {
                     .collect(),
             },
         ];
+        let mut round_robin_runs = Vec::new();
         for policy in policies {
+            let unit_weights = match &policy {
+                BatchPolicy::Weighted { weights } => weights.iter().all(|&w| w == 1),
+                _ => false,
+            };
             let mut row_tiles_by_quantum = Vec::new();
-            for quantum in [1usize, 3, 0] {
+            for (qi, quantum) in [1usize, 3, 0].into_iter().enumerate() {
                 let mut sched =
                     BatchScheduler::new(config, policy.clone()).with_slice_quantum(quantum);
-                let mut executed = 0usize;
+                let mut order = Vec::new();
                 sched.run(&traces, |tenant, step, out| {
                     assert_eq!(
                         out, &oracle[tenant][step],
                         "trial {trial} {policy:?} quantum {quantum} tenant {tenant} step {step}"
                     );
-                    executed += 1;
+                    order.push((tenant, step));
                 });
-                assert_eq!(executed, oracle.iter().map(Vec::len).sum::<usize>());
+                assert_eq!(order.len(), oracle.iter().map(Vec::len).sum::<usize>());
                 let stats = sched.scheduler_stats();
+                if policy == BatchPolicy::RoundRobin {
+                    round_robin_runs.push((order, stats.clone()));
+                } else if unit_weights {
+                    assert_eq!(
+                        (&order, stats),
+                        (&round_robin_runs[qi].0, &round_robin_runs[qi].1),
+                        "trial {trial} quantum {quantum}: unit-weight DRR must visit as round robin"
+                    );
+                }
                 assert_eq!(
                     stats.lane_steps,
                     batch
@@ -356,7 +376,7 @@ fn tenant_model_traces_serve_exactly() {
                 .collect()
         })
         .collect();
-    let mut sched = BatchScheduler::new(config, BatchPolicy::CacheAffinity);
+    let mut sched = BatchScheduler::new(config, BatchPolicy::RoundRobin);
     sched.run(&traces, |tenant, step, out| {
         assert_eq!(out, &oracle[tenant][step], "tenant {tenant} step {step}");
     });
