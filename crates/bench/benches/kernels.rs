@@ -34,7 +34,6 @@ use spikemat::{SpikeMatrix, TileShape};
 mod legacy {
     use prosperity_core::detect::{DetectedTile, TcamDetector};
     use prosperity_core::order::BitonicSorter;
-    use prosperity_core::plan::{RowMeta, TileMeta};
     use prosperity_core::prune::{prune_tile, PrunedRow};
     use spikemat::gemm::{OutputMatrix, WeightMatrix};
     use spikemat::{BitRow, SpikeMatrix, TileShape};
@@ -83,9 +82,19 @@ mod legacy {
         }
     }
 
+    /// One planned tile as the original planner stored it: a heap row per
+    /// tile row.
+    pub struct Tile {
+        row_start: usize,
+        col_start: usize,
+        valid_rows: usize,
+        rows: Vec<PrunedRow>,
+        order: Vec<usize>,
+    }
+
     /// The original serial planner: staged detect → prune → sort per tile,
     /// fresh allocations throughout.
-    pub fn build_tiled(spikes: &SpikeMatrix, shape: TileShape) -> Vec<TileMeta> {
+    pub fn build_tiled(spikes: &SpikeMatrix, shape: TileShape) -> Vec<Tile> {
         let (gm, gk) = shape.grid(spikes.rows(), spikes.cols());
         let mut tiles = Vec::new();
         for ti in 0..gm {
@@ -95,37 +104,13 @@ mod legacy {
                 let data = submatrix_bitwise(spikes, row_start, col_start, shape.m, shape.k);
                 let detected = detect_tile_staged(&data);
                 let pruned = prune_tile(&data, &detected);
-                let (order, sorter) = BitonicSorter::sort(&detected.popcounts);
-                let rows: Vec<RowMeta> = pruned
-                    .into_iter()
-                    .map(
-                        |PrunedRow {
-                             prefix,
-                             kind,
-                             pattern,
-                         }| RowMeta {
-                            prefix,
-                            kind,
-                            pattern,
-                        },
-                    )
-                    .collect();
-                // Packed patterns did not exist pre-optimization; populate
-                // the (required) field outside any measured behavior the
-                // legacy executor exercises.
-                let pattern_limbs = rows
-                    .iter()
-                    .flat_map(|r| r.pattern.limbs().iter().copied())
-                    .collect();
-                tiles.push(TileMeta {
+                let (order, _) = BitonicSorter::sort(&detected.popcounts);
+                tiles.push(Tile {
                     row_start,
                     col_start,
                     valid_rows: (spikes.rows() - row_start).min(shape.m),
-                    valid_cols: (spikes.cols() - col_start).min(shape.k),
-                    rows,
-                    pattern_limbs,
+                    rows: pruned,
                     order,
-                    sorter_stages: sorter.stages(),
                 });
             }
         }
@@ -135,7 +120,7 @@ mod legacy {
     /// The original executor: one heap row per tile row plus a `.clone()`
     /// per prefix load.
     pub fn execute<T: Copy + Default + AddAssign>(
-        tiles: &[TileMeta],
+        tiles: &[Tile],
         m: usize,
         weights: &WeightMatrix<T>,
     ) -> OutputMatrix<T> {

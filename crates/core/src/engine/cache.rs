@@ -240,7 +240,7 @@ impl PlanCache {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            placeholder: Arc::new(TileMeta::empty()),
+            placeholder: Arc::new(TileMeta::default()),
             admission: admission.map(Admission::new),
             restored_resident: 0,
         }

@@ -71,7 +71,7 @@ fn lru_evicts_oldest() {
         .collect();
     let mut cache = PlanCache::new(2, None);
     for k in &keys {
-        let meta = Arc::new(TileMeta::empty());
+        let meta = Arc::new(TileMeta::default());
         cache.insert(hash_limbs(k), k, meta);
     }
     assert_eq!(cache.len(), 2);

@@ -33,7 +33,7 @@
 //!   hash u64 | hits u64 | key limb count u32 | key limbs (u64 each)
 //!   row_start u64 | col_start u64 | valid_rows u32 | valid_cols u32
 //!   sorter_stages u32 | row count u32 | pattern bit-length u32
-//!   per row: prefix u32 (u32::MAX = none) | kind u8
+//!   per row: prefix u32 (u32::MAX = none) | kind u8 (`MatchKind as u8`)
 //!            | pattern limbs (⌈bits/64⌉ u64 each)
 //!   order: row count × u32
 //! ```
@@ -41,8 +41,9 @@
 //! The checksum (FNV-1a over the payload) is verified before any payload
 //! field is trusted; the per-entry hash is additionally re-derived from
 //! the key limbs on decode, so a flipped bit in either is caught twice.
-//! `pattern_limbs` is not stored — it is by construction the
-//! concatenation of the per-row patterns and is rebuilt on decode.
+//! The kind byte is redundant too: decode rejects one that differs from
+//! the kind derived from the row's prefix and pattern. The per-row
+//! pattern limbs, concatenated, are [`TileMeta::pattern_limbs`].
 //!
 //! Typical lifecycle:
 //!
@@ -69,10 +70,8 @@
 //! assert_eq!(warm.stats().restored_hits, warm.stats().cache_hits);
 //! ```
 
-use crate::plan::{RowMeta, TileMeta};
-use crate::prune::MatchKind;
+use crate::plan::{derived_kind, TileMeta, NO_PREFIX};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use spikemat::BitRow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -82,8 +81,6 @@ const MAGIC: &[u8; 4] = b"PSNP";
 const VERSION: u32 = 1;
 /// Fixed header size: magic (4) + version (4) + count (4) + checksum (8).
 const HEADER_BYTES: usize = 20;
-/// Sentinel for "no prefix" in the on-disk row encoding.
-const NO_PREFIX: u32 = u32::MAX;
 
 /// Errors raised while decoding or loading a serialized snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,7 +175,7 @@ impl SnapshotEntry {
     /// import path drops mismatches, reported as
     /// [`ImportReport::skipped_shape`].
     pub(crate) fn matches_shape(&self, m: usize, k: usize) -> bool {
-        self.meta.rows.len() == m && self.meta.rows.iter().all(|r| r.pattern.len() == k)
+        self.meta.prefix.len() == m && self.meta.width == k
     }
 }
 
@@ -365,22 +362,22 @@ fn encode_entry(buf: &mut BytesMut, entry: &SnapshotEntry) {
     buf.put_u32_le(meta.valid_rows as u32);
     buf.put_u32_le(meta.valid_cols as u32);
     buf.put_u32_le(meta.sorter_stages as u32);
-    buf.put_u32_le(meta.rows.len() as u32);
-    let pattern_bits = meta.rows.first().map_or(0, |r| r.pattern.len());
-    buf.put_u32_le(pattern_bits as u32);
-    for row in &meta.rows {
-        buf.put_u32_le(row.prefix.map_or(NO_PREFIX, |p| p as u32));
-        buf.put_u8(match row.kind {
-            MatchKind::None => 0,
-            MatchKind::Partial => 1,
-            MatchKind::Exact => 2,
-        });
-        for &limb in row.pattern.limbs() {
+    buf.put_u32_le(meta.prefix.len() as u32);
+    buf.put_u32_le(meta.width as u32);
+    let words = meta.pattern_words();
+    for (i, &prefix) in meta.prefix.iter().enumerate() {
+        let pattern = meta
+            .pattern_limbs
+            .get(i * words..(i + 1) * words)
+            .unwrap_or_default();
+        buf.put_u32_le(prefix);
+        buf.put_u8(derived_kind(prefix, pattern) as u8);
+        for &limb in pattern {
             buf.put_u64_le(limb);
         }
     }
     for &i in &meta.order {
-        buf.put_u32_le(i as u32);
+        buf.put_u32_le(i);
     }
 }
 
@@ -418,43 +415,29 @@ fn decode_entry(buf: &mut Bytes) -> Result<SnapshotEntry, SnapshotError> {
     }
     // Reservations are clamped by the bytes actually present, so a
     // malformed count cannot force a huge upfront allocation.
-    let mut rows = Vec::with_capacity(row_count.min(buf.remaining() / (5 + pattern_words * 8)));
+    let mut prefixes = Vec::with_capacity(row_count.min(buf.remaining() / (5 + pattern_words * 8)));
     let mut pattern_limbs =
         Vec::with_capacity((row_count * pattern_words).min(buf.remaining() / 8));
+    // A stored limb may only carry bits within the declared pattern
+    // length (the BitRow invariant the executor kernels rely on).
+    let tail_mask = u64::MAX >> ((64 - pattern_bits % 64) % 64);
     for _ in 0..row_count {
         need(buf, 5 + pattern_words * 8)?;
-        let prefix = match buf.get_u32_le() {
-            NO_PREFIX => None,
-            p if (p as usize) < row_count => Some(p as usize),
-            _ => return Err(SnapshotError::Corrupt("row prefix")),
-        };
-        let kind = match buf.get_u8() {
-            0 => MatchKind::None,
-            1 => MatchKind::Partial,
-            2 => MatchKind::Exact,
-            _ => return Err(SnapshotError::Corrupt("row kind")),
-        };
-        let mut pattern = BitRow::zeros(pattern_bits);
-        for limb_idx in 0..pattern_words {
-            let limb = buf.get_u64_le();
-            pattern_limbs.push(limb);
-            for bit in 0..64 {
-                let j = limb_idx * 64 + bit;
-                if j < pattern_bits && (limb >> bit) & 1 == 1 {
-                    pattern.set(j, true);
-                }
-            }
+        let prefix = buf.get_u32_le();
+        if prefix != NO_PREFIX && prefix as usize >= row_count {
+            return Err(SnapshotError::Corrupt("row prefix"));
         }
-        // A stored limb may only carry bits within the declared pattern
-        // length (the BitRow invariant the executor kernels rely on).
-        if pattern.limbs() != &pattern_limbs[pattern_limbs.len() - pattern_words..] {
+        let kind = buf.get_u8();
+        let start = pattern_limbs.len();
+        pattern_limbs.extend((0..pattern_words).map(|_| buf.get_u64_le()));
+        let pattern = &pattern_limbs[start..];
+        if pattern.last().is_some_and(|&l| l & !tail_mask != 0) {
             return Err(SnapshotError::Corrupt("pattern tail bits"));
         }
-        rows.push(RowMeta {
-            prefix,
-            kind,
-            pattern,
-        });
+        if kind != derived_kind(prefix, pattern) as u8 {
+            return Err(SnapshotError::Corrupt("row kind"));
+        }
+        prefixes.push(prefix);
     }
     need(buf, row_count * 4)?;
     let mut position = vec![usize::MAX; row_count];
@@ -465,17 +448,15 @@ fn decode_entry(buf: &mut Bytes) -> Result<SnapshotEntry, SnapshotError> {
             return Err(SnapshotError::Corrupt("execution order"));
         }
         position[i] = pos;
-        order.push(i);
+        order.push(i as u32);
     }
     // The order must be *topological*, not just a permutation: the
     // executor computes each row on top of its prefix's already-finished
     // output, so a prefix scheduled after (or equal to) its dependent row
     // would silently read garbage — reject it here instead.
-    for (i, row) in rows.iter().enumerate() {
-        if let Some(p) = row.prefix {
-            if p == i || position[p] >= position[i] {
-                return Err(SnapshotError::Corrupt("execution order"));
-            }
+    for (i, &p) in prefixes.iter().enumerate() {
+        if p != NO_PREFIX && (p as usize == i || position[p as usize] >= position[i]) {
+            return Err(SnapshotError::Corrupt("execution order"));
         }
     }
     Ok(SnapshotEntry {
@@ -486,7 +467,8 @@ fn decode_entry(buf: &mut Bytes) -> Result<SnapshotEntry, SnapshotError> {
             col_start,
             valid_rows,
             valid_cols,
-            rows,
+            width: pattern_bits,
+            prefix: prefixes,
             pattern_limbs,
             order,
             sorter_stages,
@@ -499,6 +481,7 @@ fn decode_entry(buf: &mut Bytes) -> Result<SnapshotEntry, SnapshotError> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig, Session};
+    use crate::prune::MatchKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use spikemat::gemm::{OutputMatrix, WeightMatrix};
@@ -522,17 +505,87 @@ mod tests {
     }
 
     fn entry_eq(a: &SnapshotEntry, b: &SnapshotEntry) -> bool {
-        a.hash == b.hash
-            && a.limbs == b.limbs
-            && a.hits == b.hits
-            && a.meta.row_start == b.meta.row_start
-            && a.meta.col_start == b.meta.col_start
-            && a.meta.valid_rows == b.meta.valid_rows
-            && a.meta.valid_cols == b.meta.valid_cols
-            && a.meta.sorter_stages == b.meta.sorter_stages
-            && a.meta.rows == b.meta.rows
-            && a.meta.pattern_limbs == b.meta.pattern_limbs
-            && a.meta.order == b.meta.order
+        a.hash == b.hash && a.limbs == b.limbs && a.hits == b.hits && a.meta == b.meta
+    }
+
+    /// One seeded 256×16 plan, keyed the way the plan cache keys it.
+    fn seeded_plan_snapshot() -> PlanSnapshot {
+        let mut rng = StdRng::seed_from_u64(0x16);
+        let tile = SpikeMatrix::random(256, 16, 0.3, &mut rng);
+        let mut limbs = Vec::new();
+        tile.tile_key_into(0, 0, 256, 16, &mut limbs);
+        let entry = SnapshotEntry {
+            hash: hash_limbs(&limbs),
+            limbs: limbs.into(),
+            meta: Arc::new(TileMeta::build(&tile, 512, 32)),
+            hits: 7,
+        };
+        PlanSnapshot {
+            entries: vec![entry],
+        }
+    }
+
+    /// `hash_limbs` over the bytes read as zero-padded little-endian words.
+    fn digest(bytes: &[u8]) -> u64 {
+        let words: Vec<u64> = bytes
+            .chunks(8)
+            .map(|c| {
+                let mut w = [0u8; 8];
+                w[..c.len()].copy_from_slice(c);
+                u64::from_le_bytes(w)
+            })
+            .collect();
+        hash_limbs(&words)
+    }
+
+    /// Decodes `clean` after `mutate` with the checksum re-forged, the way
+    /// a writer that lies about a field would.
+    fn reforged(
+        clean: &[u8],
+        mutate: impl Fn(&mut Vec<u8>),
+    ) -> Result<PlanSnapshot, SnapshotError> {
+        let mut bytes = clean.to_vec();
+        mutate(&mut bytes);
+        let sum = fnv1a(&bytes[HEADER_BYTES..]);
+        bytes[12..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+        PlanSnapshot::decode(Bytes::from(bytes))
+    }
+
+    #[test]
+    fn seeded_plan_encodes_to_the_pinned_bytes() {
+        // The digest pins the on-disk format: a change to the in-memory
+        // plan layout must still write exactly these bytes.
+        const DIGEST: u64 = 0x9f68_b540_c8be_250c;
+        let snap = seeded_plan_snapshot();
+        let stats = snap.entries[0].meta.stats(0);
+        assert!(stats.em_rows > 0 && stats.pm_rows > 0 && stats.root_rows > 0);
+        let bytes = snap.encode();
+        assert_eq!(digest(&bytes), DIGEST);
+        let decoded = PlanSnapshot::decode(bytes).expect("roundtrip");
+        assert!(entry_eq(&snap.entries[0], &decoded.entries[0]));
+    }
+
+    #[test]
+    fn stored_kind_must_match_the_derived_kind() {
+        let snap = seeded_plan_snapshot();
+        let meta = &snap.entries[0].meta;
+        let clean = snap.encode().to_vec();
+        // Header, then hash | hits | key limb count | key limbs | 36 bytes
+        // of placement and geometry; each row is prefix u32 | kind u8 |
+        // one pattern limb.
+        let rows_at = HEADER_BYTES + 20 + meta.prefix.len() * 8 + 36;
+        for kind in [MatchKind::Partial, MatchKind::Exact] {
+            let i = (0..meta.prefix.len())
+                .find(|&i| meta.kind(i) == kind)
+                .expect("the seeded plan has rows of both kinds");
+            let at = rows_at + i * 13 + 4;
+            assert_eq!(clean[at], kind as u8);
+            assert!(matches!(
+                reforged(&clean, |b| b[at] ^= 3), // 1 ↔ 2
+                Err(SnapshotError::Corrupt("row kind"))
+            ));
+        }
+        assert!(reforged(&clean, |_| {}).is_ok());
     }
 
     #[test]
@@ -630,35 +683,27 @@ mod tests {
         // valid_rows u32 | valid_cols u32 | ...
         let limb_count = u32::from_le_bytes(clean[36..40].try_into().unwrap()) as usize;
         let valid_rows_at = 40 + limb_count * 8 + 16;
-        let reforge = |mutate: &dyn Fn(&mut Vec<u8>)| {
-            let mut bytes = clean.clone();
-            mutate(&mut bytes);
-            let sum = fnv1a(&bytes[20..]);
-            bytes[12..20].copy_from_slice(&sum.to_le_bytes());
-            PlanSnapshot::decode(Bytes::from(bytes))
-        };
         assert!(matches!(
-            reforge(
-                &|b| b[valid_rows_at..valid_rows_at + 4].copy_from_slice(&u32::MAX.to_le_bytes())
-            ),
+            reforged(&clean, |b| b[valid_rows_at..valid_rows_at + 4]
+                .copy_from_slice(&u32::MAX.to_le_bytes())),
             Err(SnapshotError::Corrupt("valid rows"))
         ));
         assert!(matches!(
-            reforge(&|b| b[valid_rows_at + 4..valid_rows_at + 8]
+            reforged(&clean, |b| b[valid_rows_at + 4..valid_rows_at + 8]
                 .copy_from_slice(&u32::MAX.to_le_bytes())),
             Err(SnapshotError::Corrupt("valid cols"))
         ));
         // Huge declared counts must error, never attempt the allocation.
         let row_count_at = valid_rows_at + 12;
         assert!(matches!(
-            reforge(&|b| {
+            reforged(&clean, |b| {
                 b[row_count_at..row_count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
                 b[row_count_at + 4..row_count_at + 8].copy_from_slice(&u32::MAX.to_le_bytes());
             }),
             Err(SnapshotError::Corrupt("key geometry"))
         ));
         // Untouched, the same reforge pipeline decodes fine.
-        assert!(reforge(&|_| {}).is_ok());
+        assert!(reforged(&clean, |_| {}).is_ok());
     }
 
     #[test]
@@ -676,27 +721,20 @@ mod tests {
         let snap = engine.export_snapshot(16);
         assert_eq!(snap.len(), 1);
         let meta = &snap.entries[0].meta;
-        assert_eq!(meta.rows[1].prefix, Some(0), "row 1 must depend on row 0");
+        assert_eq!(meta.prefix[1], 0, "row 1 must depend on row 0");
         assert_eq!(meta.order, vec![0, 1]);
         let clean = snap.encode().to_vec();
         // The two order u32s are the last 8 bytes; swap them (prefix now
         // scheduled after its dependent) and re-forge the checksum.
         let order_at = clean.len() - 8;
-        let reforge = |mutate: &dyn Fn(&mut Vec<u8>)| {
-            let mut bytes = clean.clone();
-            mutate(&mut bytes);
-            let sum = fnv1a(&bytes[20..]);
-            bytes[12..20].copy_from_slice(&sum.to_le_bytes());
-            PlanSnapshot::decode(Bytes::from(bytes))
-        };
         assert!(matches!(
-            reforge(&|b| {
+            reforged(&clean, |b| {
                 b[order_at..order_at + 4].copy_from_slice(&1u32.to_le_bytes());
                 b[order_at + 4..order_at + 8].copy_from_slice(&0u32.to_le_bytes());
             }),
             Err(SnapshotError::Corrupt("execution order"))
         ));
-        assert!(reforge(&|_| {}).is_ok());
+        assert!(reforged(&clean, |_| {}).is_ok());
     }
 
     #[test]

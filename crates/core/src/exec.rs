@@ -33,7 +33,7 @@
 //! [`spikemat::gemm::spiking_gemm`]; this is the paper's losslessness claim
 //! and is enforced by property tests (serial *and* parallel paths).
 
-use crate::plan::{ProSparsityPlan, TileMeta};
+use crate::plan::{ProSparsityPlan, TileMeta, NO_PREFIX};
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::{SpikeMatrix, TileShape};
 use std::ops::AddAssign;
@@ -163,7 +163,7 @@ fn col_tile_count(plan: &ProSparsityPlan) -> usize {
 /// with other sessions — so the executor core is generic over this view
 /// rather than over one concrete meta lifetime.
 pub trait TileExec {
-    /// The planned meta information (rows, packed patterns, order).
+    /// The planned meta information (prefixes, packed patterns, order).
     fn meta(&self) -> &TileMeta;
     /// First weight row this tile's patterns address.
     fn col_start(&self) -> usize;
@@ -202,7 +202,7 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
     let wdata = weights.as_slice();
     let tile_rows = k_tiles
         .iter()
-        .map(|t| t.meta().rows.len())
+        .map(|t| t.meta().prefix.len())
         .max()
         .unwrap_or(0);
     if arena.len() < tile_rows * n {
@@ -216,14 +216,16 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
         if !store_all {
             parents.clear();
             parents.resize(tile_rows, false);
-            for p in meta.rows.iter().filter_map(|row| row.prefix) {
-                if let Some(flag) = parents.get_mut(p) {
+            // `NO_PREFIX` falls past the end and marks nothing.
+            for &p in &meta.prefix {
+                if let Some(flag) = parents.get_mut(p as usize) {
                     *flag = true;
                 }
             }
         }
         let wpr = meta.pattern_words();
         for &r in &meta.order {
+            let r = r as usize;
             let store = store_all || parents.get(r).copied().unwrap_or(false);
             let out_row = out_chunk.get_mut(r * n..(r + 1) * n);
             if !store && out_row.is_none() {
@@ -231,8 +233,8 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
             }
             // The planner sizes both to the tile's rows, so these always
             // resolve; `get` keeps the loop free of panic paths.
-            let (Some(row), Some(pattern)) = (
-                meta.rows.get(r),
+            let (Some(&prefix), Some(pattern)) = (
+                meta.prefix.get(r),
                 meta.pattern_limbs.get(r * wpr..(r + 1) * wpr),
             ) else {
                 continue;
@@ -240,7 +242,7 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
             let job = RowJob {
                 pattern,
                 col_start: tile.col_start(),
-                seed: row.prefix.map(|p| p * n),
+                seed: (prefix != NO_PREFIX).then(|| prefix as usize * n),
                 store: store.then_some(r * n),
             };
             execute_row(&job, wdata, n, arena, out_row);
@@ -471,8 +473,8 @@ mod tests {
             for shape in shapes {
                 let plan = ProSparsityPlan::build_tiled(s, shape);
                 if *name == "correlated" {
-                    let mut rows = plan.tiles().iter().flat_map(|t| &t.rows);
-                    assert!(rows.any(|r| r.prefix.is_some()), "no prefixes");
+                    let mut prefixes = plan.tiles().iter().flat_map(|t| &t.prefix);
+                    assert!(prefixes.any(|&p| p != NO_PREFIX), "no prefixes");
                 }
                 for n in STRIP_NS {
                     let what = format!("{name} {}x{} n={n}", shape.m, shape.k);

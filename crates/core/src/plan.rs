@@ -16,21 +16,31 @@
 //! ([`crate::prune::prune_tile`]):
 //!
 //! * the tile is transposed once into per-column **row masks** (bit `j` of
-//!   mask `c` ⇔ row `j` spikes at column `c`);
-//! * for each candidate prefix `j`, the rows containing `j` (its *supersets*)
-//!   are the intersection of the masks of `j`'s one-columns — 64 rows per
-//!   word, with early exit as soon as the intersection collapses to `{j}`
-//!   (after two or three columns on weakly correlated data);
-//! * candidates are processed in ascending `(popcount, index)` — the
-//!   Pruner's argmax key — and scattered onto their supersets, so the last
-//!   valid writer of each row *is* the Pruner's selected prefix.
+//!   mask `c` ⇔ row `j` spikes at column `c`), counting each row's
+//!   popcount on the way;
+//! * the Dispatcher's execution order is a **counting sort** of the rows by
+//!   popcount into `k + 1` buckets filled in index order — exactly the
+//!   paper's stable sort, with no comparisons;
+//! * the Pruner visits candidate prefixes in **descending claim-once**
+//!   order: that order reversed, i.e. descending `(popcount, index)`, the
+//!   Pruner's argmax key. A row may take `j` as its prefix only if it
+//!   outranks `j` in that key, i.e. was visited before `j`. So `j`'s
+//!   supersets are the visited rows not yet claimed, intersected with the
+//!   masks of `j`'s one-columns — 64 rows per word, with early exit as soon
+//!   as none survives. Every surviving row takes `j` as its prefix and
+//!   leaves the unclaimed set, so each row's prefix is written once and is
+//!   the staged Pruner's choice. The exact-match rule (only the earlier of
+//!   two identical rows may be the prefix) needs no check: a duplicate with
+//!   a smaller index than `j` has not been visited yet;
+//! * the patterns are XORed straight from the tile's row limbs into the
+//!   plan's one flat buffer.
 //!
 //! The Dispatcher's bitonic network statistics are data-independent, so the
-//! builder takes them from [`BitonicSorter::model`] and orders rows with a
-//! stable sort. Tile extraction reuses one scratch [`SpikeMatrix`] per worker
-//! ([`SpikeMatrix::submatrix_into`]), and independent tiles are planned
-//! across threads. The staged `detect_tile`/`prune_tile` functions remain
-//! the property-test oracle for this fused path.
+//! builder takes them from [`BitonicSorter::model`]. Tile extraction reuses
+//! one scratch [`SpikeMatrix`] per worker ([`SpikeMatrix::submatrix_into`]),
+//! and independent tiles are planned across threads. The staged
+//! `detect_tile`/`prune_tile` functions remain the property-test oracle for
+//! this fused path.
 
 use crate::forest::ProSparsityForest;
 use crate::order::BitonicSorter;
@@ -39,26 +49,20 @@ use crate::stats::ProStats;
 use spikemat::{BitRow, SpikeMatrix, TileShape};
 use std::ops::Range;
 
-/// Spatial meta information for one row of a tile.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowMeta {
-    /// Prefix row index *within the tile*, if any.
-    pub prefix: Option<usize>,
-    /// Relationship to the prefix.
-    pub kind: MatchKind,
-    /// ProSparsity pattern: the bits still to accumulate.
-    pub pattern: BitRow,
-}
+/// [`TileMeta::prefix`] of a row without a prefix (snapshots store it too).
+pub const NO_PREFIX: u32 = u32::MAX;
 
-impl RowMeta {
-    /// Accumulations this row performs per output column.
-    pub fn ops(&self) -> usize {
-        self.pattern.popcount()
-    }
-}
+/// Spatial meta information for one row of a tile, as an owned view that
+/// [`TileMeta::row`] builds on demand. It has the staged Pruner's shape.
+pub type RowMeta = PrunedRow;
 
-/// Meta information for one `m × k` tile.
-#[derive(Debug, Clone)]
+/// Meta information for one `m × k` tile, stored flat: a prefix and a
+/// packed pattern per row plus the execution order. A row's [`MatchKind`]
+/// is derived, never stored: no prefix means [`MatchKind::None`], an
+/// all-zero pattern [`MatchKind::Exact`], anything else
+/// [`MatchKind::Partial`]. The default is the allocation-free meta of a
+/// zero-row, zero-column tile.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TileMeta {
     /// First source row covered by the tile.
     pub row_start: usize,
@@ -68,41 +72,25 @@ pub struct TileMeta {
     pub valid_rows: usize,
     /// Valid (non-padding) columns in the tile.
     pub valid_cols: usize,
-    /// Per-row spatial info, indexed by tile-local row.
-    pub rows: Vec<RowMeta>,
-    /// All rows' ProSparsity patterns packed contiguously,
-    /// [`TileMeta::pattern_words`] limbs per row — the executor's
-    /// cache-friendly view of the per-row [`RowMeta::pattern`]s.
+    /// Padded tile column count: the bit length of every pattern.
+    pub width: usize,
+    /// Per tile-local row, its prefix row within the tile, or
+    /// [`NO_PREFIX`].
+    pub prefix: Vec<u32>,
+    /// All rows' ProSparsity patterns (the bits still to accumulate),
+    /// [`TileMeta::pattern_words`] limbs per row.
     pub pattern_limbs: Vec<u64>,
     /// Temporal info: tile-local row indices in execution order.
-    pub order: Vec<usize>,
+    pub order: Vec<u32>,
     /// Latency of the bitonic sorting network that produced `order`, in
     /// comparator stages.
     pub sorter_stages: usize,
 }
 
 impl TileMeta {
-    /// The meta of a zero-row, zero-column tile: no rows, no patterns, no
-    /// order. Allocation-free — the plan cache parks this in freed slots so
-    /// evicted payloads drop immediately, and every shard of a sharded
-    /// cache can hold its own placeholder without planning anything.
-    pub fn empty() -> Self {
-        Self {
-            row_start: 0,
-            col_start: 0,
-            valid_rows: 0,
-            valid_cols: 0,
-            rows: Vec::new(),
-            pattern_limbs: Vec::new(),
-            order: Vec::new(),
-            sorter_stages: 0,
-        }
-    }
-
     /// Builds meta information for one padded tile.
     pub fn build(tile: &SpikeMatrix, row_start: usize, col_start: usize) -> Self {
-        let (meta, _) = build_tile_meta(tile, row_start, col_start, &mut PlanScratch::default());
-        meta
+        build_tile_meta(tile, row_start, col_start, &mut PlanScratch::default()).0
     }
 
     /// [`TileMeta::build`] with caller-owned scratch buffers: returns the
@@ -120,26 +108,49 @@ impl TileMeta {
         build_tile_meta(tile, row_start, col_start, scratch)
     }
 
-    /// Limbs per row in [`TileMeta::pattern_limbs`] (every pattern spans the
-    /// full padded tile width).
+    /// Limbs per row in [`TileMeta::pattern_limbs`].
     pub fn pattern_words(&self) -> usize {
-        self.rows
-            .first()
-            .map_or(0, |r| r.pattern.len().div_ceil(64))
+        self.width.div_ceil(64)
+    }
+
+    /// Row `i`'s packed pattern limbs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a row of the tile.
+    pub fn pattern(&self, i: usize) -> &[u64] {
+        let w = self.pattern_words();
+        &self.pattern_limbs[i * w..(i + 1) * w]
+    }
+
+    /// Accumulations row `i` performs per output column.
+    pub fn ops(&self, i: usize) -> usize {
+        spikemat::simd::popcount(self.pattern(i)) as usize
+    }
+
+    /// Row `i`'s relationship to its prefix, derived as the type docs say.
+    pub fn kind(&self, i: usize) -> MatchKind {
+        derived_kind(self.prefix[i], self.pattern(i))
+    }
+
+    /// An owned view of row `i`.
+    pub fn row(&self, i: usize) -> RowMeta {
+        RowMeta {
+            prefix: (self.prefix[i] != NO_PREFIX).then_some(self.prefix[i] as usize),
+            kind: self.kind(i),
+            pattern: BitRow::from_limbs(self.width, self.pattern(i))
+                .expect("patterns carry no bits past the tile width"),
+        }
+    }
+
+    /// Owned views of every row, padding included.
+    pub fn rows(&self) -> impl Iterator<Item = RowMeta> + '_ {
+        (0..self.prefix.len()).map(|i| self.row(i))
     }
 
     /// The ProSparsity forest induced by this tile's prefixes.
     pub fn forest(&self) -> ProSparsityForest {
-        let pruned: Vec<PrunedRow> = self
-            .rows
-            .iter()
-            .map(|r| PrunedRow {
-                prefix: r.prefix,
-                kind: r.kind,
-                pattern: r.pattern.clone(),
-            })
-            .collect();
-        ProSparsityForest::from_pruned(&pruned)
+        ProSparsityForest::from_pruned(&self.rows().collect::<Vec<_>>())
     }
 
     /// Statistics for this tile, counting only valid (non-padding) cells.
@@ -147,23 +158,29 @@ impl TileMeta {
         let mut s = ProStats {
             dense_ops: (self.valid_rows * self.valid_cols) as u64,
             bit_ops: spike_bits,
+            rows: self.valid_rows as u64,
             ..ProStats::default()
         };
-        for (i, r) in self.rows.iter().enumerate() {
-            // Padding rows are all-zero: no prefix, no pattern bits. They are
-            // excluded from row counts but harmless in op counts.
-            if i >= self.valid_rows {
-                continue;
-            }
-            s.rows += 1;
-            s.pro_ops += r.ops() as u64;
-            match r.kind {
+        // Padding rows are all-zero with no prefix: excluded from row
+        // counts, and they add no ops.
+        for i in 0..self.valid_rows {
+            s.pro_ops += self.ops(i) as u64;
+            match self.kind(i) {
                 MatchKind::None => s.root_rows += 1,
                 MatchKind::Partial => s.pm_rows += 1,
                 MatchKind::Exact => s.em_rows += 1,
             }
         }
         s
+    }
+}
+
+/// The [`MatchKind`] of a row with `prefix` and packed `pattern`.
+pub(crate) fn derived_kind(prefix: u32, pattern: &[u64]) -> MatchKind {
+    match prefix {
+        NO_PREFIX => MatchKind::None,
+        _ if pattern.iter().all(|&l| l == 0) => MatchKind::Exact,
+        _ => MatchKind::Partial,
     }
 }
 
@@ -180,12 +197,15 @@ pub struct PlanScratch {
     tile: SpikeMatrix,
     /// NO vector of the current tile.
     popcounts: Vec<usize>,
+    /// Counting-sort bucket offsets, one per popcount `0..=k` plus one.
+    buckets: Vec<u32>,
     /// Transposed tile: per column, an m-bit mask of the rows spiking there.
     col_masks: Vec<u64>,
+    /// Rows that outrank the current candidate and have no prefix yet, as
+    /// an m-bit mask: the only rows the candidate may claim.
+    unclaimed: Vec<u64>,
     /// Superset accumulator for the current candidate, as an m-bit mask.
     supersets: Vec<u64>,
-    /// Selected prefix per row (`usize::MAX` = none), in argmax order.
-    best: Vec<usize>,
 }
 
 impl PlanScratch {
@@ -194,6 +214,26 @@ impl PlanScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// The Dispatcher: rows ordered by popcount (each at most `k`) with a
+/// counting sort into `k + 1` buckets kept in index order — the paper's
+/// stable sort.
+fn counting_sort(popcounts: &[usize], k: usize, buckets: &mut Vec<u32>) -> Vec<u32> {
+    buckets.clear();
+    buckets.resize(k + 2, 0);
+    for &p in popcounts {
+        buckets[p + 1] += 1;
+    }
+    for b in 1..buckets.len() {
+        buckets[b] += buckets[b - 1];
+    }
+    let mut order = vec![0; popcounts.len()];
+    for (i, &p) in popcounts.iter().enumerate() {
+        order[buckets[p] as usize] = i as u32;
+        buckets[p] += 1;
+    }
+    order
 }
 
 /// Fused Detector + Pruner + Dispatcher for one padded tile.
@@ -209,115 +249,102 @@ fn build_tile_meta(
     let rows = tile.row_slice();
     let m = rows.len();
     let k = tile.cols();
+    assert!(m < NO_PREFIX as usize, "{m} rows overflow a u32 row index");
     let mask_words = m.div_ceil(64);
     let PlanScratch {
         popcounts,
+        buckets,
         col_masks,
+        unclaimed,
         supersets,
-        best,
         ..
     } = scratch;
 
-    popcounts.clear();
-    popcounts.extend(rows.iter().map(BitRow::popcount));
-    let spike_bits: u64 = popcounts.iter().map(|&p| p as u64).sum();
-    // (popcount, index) keys make the unstable sort equivalent to the
-    // Dispatcher's stable sort by popcount, without a merge-sort temp buffer.
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_unstable_by_key(|&i| (popcounts[i], i));
-    debug_assert_eq!(order, crate::order::sorted_order(popcounts));
-    let sorter = BitonicSorter::model(m);
-
     // Transpose the tile into column→row-set masks, one 64×64 bit block at
     // a time (word-parallel; ~6·32 word ops per block instead of a bit-by-
-    // bit scatter). Columns are padded to whole blocks so every block store
-    // is unconditional; masks past column k are simply never consulted.
+    // bit scatter), counting each row's popcount from the gathered block.
+    // Columns are padded to whole blocks so every block store is
+    // unconditional; masks past column k are simply never consulted. Rows
+    // past m are zero in every mask.
     let col_words = k.div_ceil(64);
+    popcounts.clear();
+    popcounts.resize(m, 0);
     col_masks.clear();
     col_masks.resize(col_words * 64 * mask_words, 0);
     let mut block = [0u64; 64];
     for row_block in 0..mask_words {
         for col_block in 0..col_words {
             spikemat::bitops::gather_block(rows, row_block, col_block, &mut block);
+            for (pc, limb) in popcounts[row_block * 64..].iter_mut().zip(&block) {
+                *pc += limb.count_ones() as usize;
+            }
             spikemat::bitops::transpose64(&mut block);
             for (c, &limb) in block.iter().enumerate() {
                 col_masks[(col_block * 64 + c) * mask_words + row_block] = limb;
             }
         }
     }
+    let spike_bits: u64 = popcounts.iter().map(|&p| p as u64).sum();
+    let order = counting_sort(popcounts, k, buckets);
+    debug_assert!(order
+        .iter()
+        .map(|&i| i as usize)
+        .eq(crate::order::sorted_order(popcounts)));
+    let sorter = BitonicSorter::model(m);
 
-    // Scatter candidates onto their supersets in ascending (popcount, index)
-    // order — the Pruner's argmax key — so the last valid write into
-    // `best[i]` is exactly the staged pipeline's selected prefix.
-    best.clear();
-    best.resize(m, usize::MAX);
-    for &j in &order {
-        let pc_j = popcounts[j];
-        if pc_j == 0 {
-            continue; // zero rows are never prefixes
+    // Visit candidates in descending (popcount, index) order — the
+    // Pruner's argmax key. Only rows visited before `j` outrank it, so the
+    // first candidate to reach an unclaimed visited superset is exactly the
+    // staged pipeline's selected prefix.
+    unclaimed.clear();
+    unclaimed.resize(mask_words, 0);
+    let mut prefix = vec![NO_PREFIX; m];
+    'candidates: for &j in order.iter().rev() {
+        let j = j as usize;
+        if popcounts[j] == 0 {
+            break; // zero rows are never prefixes, and only they remain
         }
-        // supersets(j) = ⋂ over j's one-columns of that column's row mask.
-        let (self_word, self_bit) = (j / 64, 1u64 << (j % 64));
-        let mut ones = rows[j].ones();
-        let first = ones.next().expect("pc_j > 0");
+        // supersets(j) = unclaimed ∩ over j's one-columns of that column's
+        // row mask; j joins the unclaimed rows after its own visit.
         supersets.clear();
-        supersets.extend_from_slice(&col_masks[first * mask_words..(first + 1) * mask_words]);
-        for c in ones {
+        supersets.extend_from_slice(unclaimed);
+        unclaimed[j / 64] |= 1 << (j % 64);
+        for c in rows[j].ones() {
             let mask = &col_masks[c * mask_words..(c + 1) * mask_words];
-            if spikemat::simd::intersect_fold(supersets, mask, self_word, self_bit) == 0 {
-                break; // only j itself survives; no supersets to scatter to
+            if spikemat::simd::intersect_fold(supersets, mask, usize::MAX, 0) == 0 {
+                continue 'candidates;
             }
         }
-        for (w, &bits) in supersets.iter().enumerate() {
-            let mut bits = if w == self_word {
-                bits & !self_bit
-            } else {
-                bits
-            };
+        for (w, (&claimed, free)) in supersets.iter().zip(unclaimed.iter_mut()).enumerate() {
+            *free &= !claimed;
+            let mut bits = claimed;
             while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
+                prefix[w * 64 + bits.trailing_zeros() as usize] = j as u32;
                 bits &= bits - 1;
-                // Equal popcount + subset ⇒ identical rows (Exact Match):
-                // only the earlier duplicate may be the prefix.
-                if pc_j == popcounts[i] && j > i {
-                    continue;
-                }
-                best[i] = j;
             }
         }
     }
 
-    let words_per_row = k.div_ceil(64);
-    let mut pattern_limbs = Vec::with_capacity(m * words_per_row);
-    let row_metas = (0..m)
-        .map(|i| {
-            let meta = match best[i] {
-                usize::MAX => RowMeta {
-                    prefix: None,
-                    kind: MatchKind::None,
-                    pattern: rows[i].clone(),
-                },
-                j => RowMeta {
-                    prefix: Some(j),
-                    kind: if popcounts[j] == popcounts[i] {
-                        MatchKind::Exact
-                    } else {
-                        MatchKind::Partial
-                    },
-                    pattern: rows[i].xor(&rows[j]),
-                },
-            };
-            pattern_limbs.extend_from_slice(meta.pattern.limbs());
-            meta
-        })
-        .collect();
+    let mut pattern_limbs = Vec::with_capacity(m * col_words);
+    for (row, &p) in rows.iter().zip(&prefix) {
+        match p {
+            NO_PREFIX => pattern_limbs.extend_from_slice(row.limbs()),
+            p => pattern_limbs.extend(
+                row.limbs()
+                    .iter()
+                    .zip(rows[p as usize].limbs())
+                    .map(|(a, b)| a ^ b),
+            ),
+        }
+    }
     (
         TileMeta {
             row_start,
             col_start,
-            valid_rows: tile.rows(),
-            valid_cols: tile.cols(),
-            rows: row_metas,
+            valid_rows: m,
+            valid_cols: k,
+            width: k,
+            prefix,
             pattern_limbs,
             order,
             sorter_stages: sorter.stages(),
@@ -386,7 +413,7 @@ impl ProSparsityPlan {
     ) -> Self {
         let (gm, gk) = shape.grid(spikes.rows(), spikes.cols());
         let n_tiles = gm * gk;
-        let (tiles, stats) = build_tile_range_with(spikes, shape, gk, 0..n_tiles, scratch);
+        let (tiles, stats) = build_tile_range(spikes, shape, gk, 0..n_tiles, scratch);
         Self {
             shape,
             source_rows: spikes.rows(),
@@ -405,7 +432,8 @@ impl ProSparsityPlan {
         use rayon::prelude::*;
         let workers = rayon::current_num_threads().min(n_tiles.max(1));
         if workers <= 1 {
-            return vec![build_tile_range(spikes, shape, gk, 0..n_tiles)];
+            let scratch = &mut PlanScratch::default();
+            return vec![build_tile_range(spikes, shape, gk, 0..n_tiles, scratch)];
         }
         let per_worker = n_tiles.div_ceil(workers);
         let ranges: Vec<Range<usize>> = (0..workers)
@@ -413,7 +441,7 @@ impl ProSparsityPlan {
             .collect();
         ranges
             .into_par_iter()
-            .map(|r| build_tile_range(spikes, shape, gk, r))
+            .map(|r| build_tile_range(spikes, shape, gk, r, &mut PlanScratch::default()))
             .collect()
     }
 
@@ -438,19 +466,9 @@ impl ProSparsityPlan {
     }
 }
 
-/// Plans the row-major tile range `[range.start, range.end)` of the grid,
-/// reusing one scratch tile and one popcount buffer across all of them.
+/// Plans the row-major tile range `[range.start, range.end)` of the grid
+/// through one scratch tile and set of planner buffers.
 fn build_tile_range(
-    spikes: &SpikeMatrix,
-    shape: TileShape,
-    gk: usize,
-    range: Range<usize>,
-) -> (Vec<TileMeta>, ProStats) {
-    build_tile_range_with(spikes, shape, gk, range, &mut PlanScratch::default())
-}
-
-/// [`build_tile_range`] through caller-owned scratch buffers.
-fn build_tile_range_with(
     spikes: &SpikeMatrix,
     shape: TileShape,
     gk: usize,
@@ -538,7 +556,8 @@ mod tests {
         ] {
             let plan = ProSparsityPlan::build_tiled(&m, shape);
             for t in plan.tiles() {
-                assert!(is_valid_order(&t.forest(), &t.order));
+                let order: Vec<usize> = t.order.iter().map(|&r| r as usize).collect();
+                assert!(is_valid_order(&t.forest(), &order));
             }
         }
     }
@@ -551,26 +570,79 @@ mod tests {
         assert_eq!(plan.stats().rows, 6);
     }
 
+    /// Rows drawn from four base rows plus 0–2 extra bits, one in eight
+    /// all-zero: many exact-match ties and zero rows.
+    fn duplicate_heavy_tile(m: usize, k: usize, rng: &mut impl rand::Rng) -> SpikeMatrix {
+        let bases = SpikeMatrix::random(4, k, 0.2, rng);
+        let rows = (0..m)
+            .map(|_| {
+                if rng.gen_range(0..8) == 0 {
+                    return BitRow::zeros(k);
+                }
+                let mut row = bases.row(rng.gen_range(0..4)).clone();
+                for _ in 0..rng.gen_range(0..3) {
+                    row.set(rng.gen_range(0..k), true);
+                }
+                row
+            })
+            .collect();
+        SpikeMatrix::from_rows(rows)
+    }
+
     #[test]
     fn fused_build_matches_staged_detect_prune_oracle() {
         use crate::detect::detect_tile;
+        use crate::order::sorted_order;
         use crate::prune::prune_tile;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(1234);
-        for trial in 0..50 {
-            let m = rng.gen_range(1..40);
-            let k = rng.gen_range(1..30);
-            let density = rng.gen_range(0.0..0.7);
-            let tile = SpikeMatrix::random(m, k, density, &mut rng);
+        // Up to 300 rows and 140 columns: several mask words and pattern
+        // limbs, so the unclaimed mask and the self-bit exclusion cross
+        // word boundaries.
+        for trial in 0..60 {
+            let m = rng.gen_range(1..=300);
+            let k = rng.gen_range(1..=140);
+            let tile = if trial % 2 == 0 {
+                SpikeMatrix::random(m, k, rng.gen_range(0.0..0.7), &mut rng)
+            } else {
+                duplicate_heavy_tile(m, k, &mut rng)
+            };
             let meta = TileMeta::build(&tile, 0, 0);
             let pruned = prune_tile(&tile, &detect_tile(&tile));
-            assert_eq!(meta.rows.len(), pruned.len(), "trial {trial}");
-            for (i, (got, want)) in meta.rows.iter().zip(&pruned).enumerate() {
-                assert_eq!(got.prefix, want.prefix, "trial {trial} row {i}");
-                assert_eq!(got.kind, want.kind, "trial {trial} row {i}");
-                assert_eq!(got.pattern, want.pattern, "trial {trial} row {i}");
-            }
+            assert_eq!(meta.rows().collect::<Vec<_>>(), pruned, "trial {trial}");
+            let popcounts: Vec<usize> = tile.row_slice().iter().map(BitRow::popcount).collect();
+            let order: Vec<usize> = meta.order.iter().map(|&r| r as usize).collect();
+            assert_eq!(order, sorted_order(&popcounts), "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn counting_sort_is_the_stable_sort_by_popcount() {
+        use crate::order::sorted_order;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC0);
+        let mut buckets = Vec::new();
+        let mut check = |pcs: &[usize], k: usize| {
+            let order: Vec<usize> = counting_sort(pcs, k, &mut buckets)
+                .into_iter()
+                .map(|i| i as usize)
+                .collect();
+            assert_eq!(order, sorted_order(pcs), "k {k} popcounts {pcs:?}");
+        };
+        check(&[], 0);
+        check(&[], 16);
+        check(&[0; 9], 0);
+        check(&[0; 9], 16);
+        check(&[5; 70], 5);
+        check(&[16, 0, 16, 3, 16], 16);
+        for _ in 0..200 {
+            let k = rng.gen_range(0..=140);
+            let pcs: Vec<usize> = (0..rng.gen_range(0..=300))
+                .map(|_| rng.gen_range(0..=k))
+                .collect();
+            check(&pcs, k);
         }
     }
 
@@ -587,15 +659,7 @@ mod tests {
             let par = ProSparsityPlan::build_tiled(&s, shape);
             let ser = ProSparsityPlan::build_tiled_serial(&s, shape);
             assert_eq!(par.stats(), ser.stats());
-            assert_eq!(par.tiles().len(), ser.tiles().len());
-            for (a, b) in par.tiles().iter().zip(ser.tiles()) {
-                assert_eq!(a.row_start, b.row_start);
-                assert_eq!(a.col_start, b.col_start);
-                assert_eq!(a.valid_rows, b.valid_rows);
-                assert_eq!(a.valid_cols, b.valid_cols);
-                assert_eq!(a.rows, b.rows);
-                assert_eq!(a.order, b.order);
-            }
+            assert_eq!(par.tiles(), ser.tiles());
         }
     }
 
@@ -615,22 +679,15 @@ mod tests {
             let with = ProSparsityPlan::build_tiled_with(&s, shape, &mut scratch);
             let fresh = ProSparsityPlan::build_tiled_serial(&s, shape);
             assert_eq!(with.stats(), fresh.stats());
-            for (a, b) in with.tiles().iter().zip(fresh.tiles()) {
-                assert_eq!(a.rows, b.rows);
-                assert_eq!(a.order, b.order);
-                assert_eq!(a.pattern_limbs, b.pattern_limbs);
-            }
+            assert_eq!(with.tiles(), fresh.tiles());
         }
     }
 
     #[test]
     fn empty_meta_matches_built_empty_tile() {
         let built = TileMeta::build(&SpikeMatrix::zeros(0, 0), 0, 0);
-        let empty = TileMeta::empty();
-        assert_eq!(empty.rows, built.rows);
-        assert_eq!(empty.order, built.order);
-        assert_eq!(empty.pattern_limbs, built.pattern_limbs);
-        assert_eq!(empty.pattern_words(), 0);
+        assert_eq!(TileMeta::default(), built);
+        assert_eq!(built.pattern_words(), 0);
     }
 
     #[test]

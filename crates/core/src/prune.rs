@@ -18,15 +18,17 @@ use crate::detect::DetectedTile;
 use serde::{Deserialize, Serialize};
 use spikemat::{BitRow, SpikeMatrix};
 
-/// How a row relates to its selected prefix.
+/// How a row relates to its selected prefix. The discriminants are the
+/// kind bytes of the plan-snapshot format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[repr(u8)]
 pub enum MatchKind {
     /// No usable prefix: the row is computed from scratch (pure bit sparsity).
-    None,
+    None = 0,
     /// Partial Match: the prefix is a proper subset; the pattern bits remain.
-    Partial,
+    Partial = 1,
     /// Exact Match: the prefix equals the row; zero accumulations remain.
-    Exact,
+    Exact = 2,
 }
 
 /// The pruned spatial meta-information for one row of a tile.

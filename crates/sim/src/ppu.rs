@@ -13,7 +13,7 @@ use crate::pipeline::{
     TileTiming,
 };
 use crate::report::LayerPerf;
-use prosperity_core::plan::TileMeta;
+use prosperity_core::plan::{TileMeta, NO_PREFIX};
 use prosperity_core::stats::ProStats;
 use prosperity_core::MatchKind;
 use spikemat::SpikeMatrix;
@@ -75,20 +75,19 @@ pub fn simulate_layer(spikes: &SpikeMatrix, n_cols: usize, config: &ProsperityCo
                 // the prefix partial sum from the output buffer (Step 9)
                 // and then accumulates its pattern bits; a root row
                 // accumulates from zero.
+                let pcs: Vec<usize> = (0..valid).map(|r| meta.ops(r)).collect();
                 let costs: Vec<usize> = (0..valid)
-                    .map(|r| {
-                        let row = &meta.rows[r];
-                        match row.kind {
-                            MatchKind::Exact => 1,
-                            MatchKind::Partial => 1 + row.ops(),
-                            MatchKind::None => row.ops().max(1),
-                        }
+                    .map(|r| match meta.kind(r) {
+                        MatchKind::Exact => 1,
+                        MatchKind::Partial => 1 + pcs[r],
+                        MatchKind::None => pcs[r].max(1),
                     })
                     .collect();
-                let pcs: Vec<usize> = (0..valid).map(|r| meta.rows[r].ops()).collect();
-                let prefix_rows = (0..valid)
-                    .filter(|&r| meta.rows[r].prefix.is_some())
-                    .count() as u64;
+                let prefixes: Vec<Option<usize>> = meta.prefix[..valid]
+                    .iter()
+                    .map(|&p| (p != NO_PREFIX).then_some(p as usize))
+                    .collect();
+                let prefix_rows = prefixes.iter().flatten().count() as u64;
                 // Detector events: every valid row queries the TCAM once.
                 events.tcam_queries += valid as u64;
                 events.tcam_bitops += valid as u64 * (tile_shape.m * tile_shape.k) as u64;
@@ -115,9 +114,12 @@ pub fn simulate_layer(spikes: &SpikeMatrix, n_cols: usize, config: &ProsperityCo
                 let pro_phase = prosparsity_phase_cycles(valid, extra);
                 // Issue in the Dispatcher's order, honouring the
                 // output-buffer read-after-write hazard on prefix loads.
-                let order: Vec<usize> = meta.order.iter().copied().filter(|&r| r < valid).collect();
-                let prefixes: Vec<Option<usize>> =
-                    (0..valid).map(|r| meta.rows[r].prefix).collect();
+                let order: Vec<usize> = meta
+                    .order
+                    .iter()
+                    .map(|&r| r as usize)
+                    .filter(|&r| r < valid)
+                    .collect();
                 // A prefix index may point at a padding row (never: only
                 // valid rows are nonzero, and zero rows are not usable
                 // prefixes), so the slice is consistent.
@@ -172,8 +174,8 @@ pub fn match_kind_counts(meta: &TileMeta) -> (usize, usize, usize) {
     let mut none = 0;
     let mut pm = 0;
     let mut em = 0;
-    for r in meta.rows.iter().take(meta.valid_rows) {
-        match r.kind {
+    for r in 0..meta.valid_rows {
+        match meta.kind(r) {
             MatchKind::None => none += 1,
             MatchKind::Partial => pm += 1,
             MatchKind::Exact => em += 1,

@@ -75,6 +75,19 @@ impl BitRow {
         row
     }
 
+    /// Creates a row of `len` bits from its LSB-first limbs.
+    ///
+    /// Returns `None` unless `limbs` holds exactly `⌈len / 64⌉` words with
+    /// no bit set at or past `len`.
+    pub fn from_limbs(len: usize, limbs: &[u64]) -> Option<Self> {
+        let tail = len % LIMB_BITS;
+        let tail_clear = tail == 0 || limbs.last().is_some_and(|&l| l >> tail == 0);
+        (limbs.len() == len.div_ceil(LIMB_BITS) && tail_clear).then(|| Self {
+            limbs: limbs.to_vec(),
+            len,
+        })
+    }
+
     /// Number of bit positions in the row.
     pub fn len(&self) -> usize {
         self.len
@@ -407,6 +420,19 @@ mod tests {
     fn from_bits_matches_manual_set() {
         let r = BitRow::from_bits(&[1, 0, 1, 1]);
         assert_eq!(r, BitRow::from_ones(4, &[0, 2, 3]));
+    }
+
+    #[test]
+    fn from_limbs_roundtrips_and_rejects_bits_past_len() {
+        let r = BitRow::from_ones(70, &[0, 63, 64, 69]);
+        assert_eq!(BitRow::from_limbs(70, r.limbs()), Some(r));
+        assert_eq!(BitRow::from_limbs(70, &[0, 1 << 6]), None);
+        assert_eq!(BitRow::from_limbs(70, &[0]), None);
+        assert_eq!(
+            BitRow::from_limbs(64, &[u64::MAX]).map(|r| r.popcount()),
+            Some(64)
+        );
+        assert_eq!(BitRow::from_limbs(0, &[]), Some(BitRow::zeros(0)));
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn main() {
     let plan = ProSparsityPlan::build(&spikes);
     let tile = &plan.tiles()[0];
     println!("ProSparsity forest (prefix per row):");
-    for (i, meta) in tile.rows.iter().enumerate() {
+    for (i, meta) in tile.rows().enumerate() {
         let kind = match meta.kind {
             MatchKind::None => "root       ",
             MatchKind::Partial => "PartialMatch",

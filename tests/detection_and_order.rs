@@ -7,7 +7,7 @@ use prosperity::core::order::{forest_walk_order, is_valid_order, sorted_order, B
 use prosperity::core::plan::TileMeta;
 use prosperity::core::prune::prune_tile;
 use prosperity::core::{MatchKind, ProSparsityForest};
-use prosperity::spikemat::SpikeMatrix;
+use prosperity::spikemat::{BitRow, SpikeMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -88,20 +88,48 @@ fn pruner_invariants() {
     }
 }
 
+/// Rows drawn from four base rows plus 0–2 extra bits, one in eight
+/// all-zero: many exact-match ties and zero rows.
+fn duplicate_heavy_tile(rng: &mut StdRng, m: usize, k: usize) -> SpikeMatrix {
+    let bases = SpikeMatrix::random(4, k, 0.2, rng);
+    let rows = (0..m)
+        .map(|_| {
+            if rng.gen_range(0..8) == 0 {
+                return BitRow::zeros(k);
+            }
+            let mut row = bases.row(rng.gen_range(0..4)).clone();
+            for _ in 0..rng.gen_range(0..3) {
+                row.set(rng.gen_range(0..k), true);
+            }
+            row
+        })
+        .collect();
+    SpikeMatrix::from_rows(rows)
+}
+
 #[test]
 fn fused_tile_meta_matches_staged_pipeline() {
-    // TileMeta::build fuses Detector + Pruner with an early-exit argmax scan;
-    // it must select exactly the staged pipeline's prefixes and patterns.
+    // TileMeta::build fuses Detector + Pruner into a claim-once scan and
+    // orders rows with a counting sort; it must select exactly the staged
+    // pipeline's prefixes, kinds and patterns, and the stable sort's order.
+    // Up to 300 × 140 tiles span several mask words and pattern limbs.
     let mut rng = StdRng::seed_from_u64(5);
     for trial in 0..128 {
-        let tile = random_tile(&mut rng, 40, 20);
+        let tile = if trial % 2 == 0 {
+            random_tile(&mut rng, 300, 140)
+        } else {
+            let (m, k) = (rng.gen_range(1..=300), rng.gen_range(1..=140));
+            duplicate_heavy_tile(&mut rng, m, k)
+        };
         let meta = TileMeta::build(&tile, 0, 0);
         let pruned = prune_tile(&tile, &detect_tile(&tile));
-        for (i, (got, want)) in meta.rows.iter().zip(&pruned).enumerate() {
-            assert_eq!(got.prefix, want.prefix, "trial {trial} row {i}");
-            assert_eq!(got.kind, want.kind, "trial {trial} row {i}");
-            assert_eq!(got.pattern, want.pattern, "trial {trial} row {i}");
+        assert_eq!(meta.prefix.len(), pruned.len(), "trial {trial}");
+        for (i, (got, want)) in meta.rows().zip(&pruned).enumerate() {
+            assert_eq!(&got, want, "trial {trial} row {i}");
         }
+        let popcounts: Vec<usize> = tile.row_slice().iter().map(BitRow::popcount).collect();
+        let order: Vec<usize> = meta.order.iter().map(|&r| r as usize).collect();
+        assert_eq!(order, sorted_order(&popcounts), "trial {trial}");
     }
 }
 
@@ -144,8 +172,8 @@ fn tile_meta_consistency() {
         // Order is a permutation.
         let mut seen = vec![false; tile.rows()];
         for &r in &meta.order {
-            assert!(!seen[r]);
-            seen[r] = true;
+            assert!(!seen[r as usize]);
+            seen[r as usize] = true;
         }
         assert!(seen.into_iter().all(|s| s));
         // Stats bit ops equal actual spikes.
