@@ -717,9 +717,9 @@ impl<T: Element> Session<T> {
             let Some(tiles) = self.tiles.get(ti * gk..(ti + 1) * gk) else {
                 return;
             };
-            let mut s = self.pool.take_exec();
-            execute_row_tile(tiles, weights, chunk, &mut s.arena, &mut s.parents, n);
-            self.pool.put_exec(s);
+            let mut arena = self.pool.take_arena();
+            execute_row_tile(tiles, weights, chunk, &mut arena, n);
+            self.pool.put_arena(arena);
         });
     }
 
@@ -736,7 +736,7 @@ impl<T: Element> Session<T> {
         if count == 0 || n == 0 {
             return;
         }
-        let mut s = self.pool.take_exec();
+        let mut arena = self.pool.take_arena();
         execute_row_tiles(
             &self.tiles,
             self.gk,
@@ -744,12 +744,11 @@ impl<T: Element> Session<T> {
             out.as_mut_slice(),
             start,
             count,
-            &mut s.arena,
-            &mut s.parents,
+            &mut arena,
             self.config.tile.m,
             n,
         );
-        self.pool.put_exec(s);
+        self.pool.put_arena(arena);
     }
 
     /// Executes a stream of recorded `(spikes, weights)` GeMMs — e.g. the

@@ -35,7 +35,7 @@
 //!   sorter_stages u32 | row count u32 | pattern bit-length u32
 //!   per row: prefix u32 (u32::MAX = none) | kind u8 (`MatchKind as u8`)
 //!            | pattern limbs (⌈bits/64⌉ u64 each)
-//!   order: row count × u32
+//!   Dispatcher order: row count × u32
 //! ```
 //!
 //! The checksum (FNV-1a over the payload) is verified before any payload
@@ -43,7 +43,10 @@
 //! the key limbs on decode, so a flipped bit in either is caught twice.
 //! The kind byte is redundant too: decode rejects one that differs from
 //! the kind derived from the row's prefix and pattern. The per-row
-//! pattern limbs, concatenated, are [`TileMeta::pattern_limbs`].
+//! pattern limbs, concatenated, are [`TileMeta::pattern_limbs`]. The
+//! stored order is [`TileMeta::dispatch_order`], so it is redundant as
+//! well: decode rejects one that differs from the order derived from the
+//! prefixes and patterns, then derives [`TileMeta::exec_order`].
 //!
 //! Typical lifecycle:
 //!
@@ -70,8 +73,9 @@
 //! assert_eq!(warm.stats().restored_hits, warm.stats().cache_hits);
 //! ```
 
-use crate::plan::{derived_kind, TileMeta, NO_PREFIX};
+use crate::plan::{derived_kind, OrderBufs, TileMeta, NO_PREFIX};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -348,6 +352,13 @@ fn need(buf: &Bytes, n: usize) -> Result<(), SnapshotError> {
     }
 }
 
+thread_local! {
+    /// The encoder's buffers for deriving each entry's stored Dispatcher
+    /// order; warm after a thread's first encode, so a warm encode stays
+    /// allocation-free.
+    static DISPATCH_BUFS: Cell<OrderBufs> = Cell::default();
+}
+
 // analyze: hot-path
 fn encode_entry(buf: &mut BytesMut, entry: &SnapshotEntry) {
     buf.put_u64_le(entry.hash);
@@ -376,9 +387,11 @@ fn encode_entry(buf: &mut BytesMut, entry: &SnapshotEntry) {
             buf.put_u64_le(limb);
         }
     }
-    for &i in &meta.order {
+    let mut bufs = DISPATCH_BUFS.take();
+    for &i in meta.dispatch_order_into(&mut bufs) {
         buf.put_u32_le(i);
     }
+    DISPATCH_BUFS.set(bufs);
 }
 
 fn decode_entry(buf: &mut Bytes) -> Result<SnapshotEntry, SnapshotError> {
@@ -459,20 +472,27 @@ fn decode_entry(buf: &mut Bytes) -> Result<SnapshotEntry, SnapshotError> {
             return Err(SnapshotError::Corrupt("execution order"));
         }
     }
+    let mut meta = TileMeta {
+        row_start,
+        col_start,
+        valid_rows,
+        valid_cols,
+        width: pattern_bits,
+        prefix: prefixes,
+        pattern_limbs,
+        exec_order: order,
+        sorter_stages,
+    };
+    // The file stores the Dispatcher's order, which the plan derives: a
+    // topological order that is not the stable popcount sort was not
+    // written by this planner.
+    if !meta.replay_stored_dispatch_order() {
+        return Err(SnapshotError::Corrupt("execution order"));
+    }
     Ok(SnapshotEntry {
         hash,
         limbs,
-        meta: Arc::new(TileMeta {
-            row_start,
-            col_start,
-            valid_rows,
-            valid_cols,
-            width: pattern_bits,
-            prefix: prefixes,
-            pattern_limbs,
-            order,
-            sorter_stages,
-        }),
+        meta: Arc::new(meta),
         hits,
     })
 }
@@ -511,13 +531,17 @@ mod tests {
     /// One seeded 256×16 plan, keyed the way the plan cache keys it.
     fn seeded_plan_snapshot() -> PlanSnapshot {
         let mut rng = StdRng::seed_from_u64(0x16);
-        let tile = SpikeMatrix::random(256, 16, 0.3, &mut rng);
+        tile_snapshot(&SpikeMatrix::random(256, 16, 0.3, &mut rng))
+    }
+
+    /// The plan of `tile`, keyed the way the plan cache keys it.
+    fn tile_snapshot(tile: &SpikeMatrix) -> PlanSnapshot {
         let mut limbs = Vec::new();
-        tile.tile_key_into(0, 0, 256, 16, &mut limbs);
+        tile.tile_key_into(0, 0, tile.rows(), tile.cols(), &mut limbs);
         let entry = SnapshotEntry {
             hash: hash_limbs(&limbs),
             limbs: limbs.into(),
-            meta: Arc::new(TileMeta::build(&tile, 512, 32)),
+            meta: Arc::new(TileMeta::build(tile, 512, 32)),
             hits: 7,
         };
         PlanSnapshot {
@@ -722,10 +746,32 @@ mod tests {
         assert_eq!(snap.len(), 1);
         let meta = &snap.entries[0].meta;
         assert_eq!(meta.prefix[1], 0, "row 1 must depend on row 0");
-        assert_eq!(meta.order, vec![0, 1]);
+        assert_eq!(meta.dispatch_order(), vec![0, 1]);
         let clean = snap.encode().to_vec();
         // The two order u32s are the last 8 bytes; swap them (prefix now
         // scheduled after its dependent) and re-forge the checksum.
+        let order_at = clean.len() - 8;
+        assert!(matches!(
+            reforged(&clean, |b| {
+                b[order_at..order_at + 4].copy_from_slice(&1u32.to_le_bytes());
+                b[order_at + 4..order_at + 8].copy_from_slice(&0u32.to_le_bytes());
+            }),
+            Err(SnapshotError::Corrupt("execution order"))
+        ));
+        assert!(reforged(&clean, |_| {}).is_ok());
+    }
+
+    #[test]
+    fn forged_order_that_is_not_the_dispatch_order_is_rejected() {
+        // Two unrelated rows of one popcount: both orders are topological,
+        // but only [0, 1] is the Dispatcher's stable sort, the one order
+        // the file may store.
+        let tile = SpikeMatrix::from_rows_of_bits(&[&[1, 0, 0, 1], &[0, 1, 1, 0]]);
+        let snap = tile_snapshot(&tile);
+        let meta = &snap.entries[0].meta;
+        assert_eq!(meta.prefix, vec![NO_PREFIX; 2]);
+        assert_eq!(meta.dispatch_order(), vec![0, 1]);
+        let clean = snap.encode().to_vec();
         let order_at = clean.len() - 8;
         assert!(matches!(
             reforged(&clean, |b| {

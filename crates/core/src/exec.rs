@@ -1,7 +1,7 @@
 //! Lossless execution of a ProSparsity plan (the **Processor**'s row-wise
 //! dataflow, Sec. V-E, as a software kernel).
 //!
-//! For every tile, rows are processed in the Dispatcher's order. A row with a
+//! For every tile, rows are processed in a topological order. A row with a
 //! prefix starts from the prefix's *tile-local* partial result (Step 9 of the
 //! pipeline: "load Prefix"), then accumulates the weight rows selected by the
 //! 1-bits of its ProSparsity pattern (Steps 10–11, address decoding by
@@ -10,20 +10,28 @@
 //!
 //! # Performance
 //!
-//! The kernel is built for speed:
+//! The kernel is built so that consecutive rows do the same work, which
+//! keeps its branches predictable:
 //!
 //! * One row loop serves every row. Each row is built in fixed strips of
 //!   16 output columns (plus one narrower tail strip): a strip is a `[T; 16]`
 //!   accumulator the compiler keeps in registers while the bit scan adds the
 //!   selected weight-row strips into it, so the accumulator is loaded once
-//!   (from the prefix's partial, or zero) and written out once per strip,
-//!   not once per set pattern bit. The code is plain safe Rust; the compiler
-//!   vectorizes the constant-width strip adds.
-//! * Tile-local partials live in one flat arena of `tile_rows × n` elements
-//!   per row-tile, indexed by row offset — no per-row heap allocation inside
-//!   the tile loop. Only rows that a later row loads as its prefix store
-//!   their partial there; when `n` fits in one strip every row stores, which
-//!   costs less than finding the prefix rows.
+//!   and written out once per strip, not once per set pattern bit. The code
+//!   is plain safe Rust; the compiler vectorizes the constant-width strip
+//!   adds.
+//! * The output widths the measured workloads serve, 16 and 128, get the
+//!   loop specialized to a constant width, so the strip count and the
+//!   weight-row stride are constants. Every other width runs the same loop
+//!   with a runtime width.
+//! * Tile-local partials live in one flat arena of `(tile_rows + 1) × n`
+//!   elements per row-tile, indexed by row offset — no per-row heap
+//!   allocation inside the tile loop. Every row stores its partial there,
+//!   so no row needs to know whether a later row loads it. A row without a
+//!   prefix seeds from the zero row at the end, so the seed has no branch.
+//! * Rows run in the plan's replay order ([`TileMeta::exec_order`]): the
+//!   Dispatcher's order re-sorted by (forest depth, pattern popcount), so
+//!   rows with the same bit-scan trip count run back to back.
 //! * Row-tiles own disjoint output rows, so they execute across threads
 //!   over disjoint `&mut` chunks of the output; the `k`-tiles of one row
 //!   group fold sequentially into that chunk, which keeps the result
@@ -33,7 +41,7 @@
 //! [`spikemat::gemm::spiking_gemm`]; this is the paper's losslessness claim
 //! and is enforced by property tests (serial *and* parallel paths).
 
-use crate::plan::{ProSparsityPlan, TileMeta, NO_PREFIX};
+use crate::plan::{ProSparsityPlan, TileMeta};
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::{SpikeMatrix, TileShape};
 use std::ops::AddAssign;
@@ -82,13 +90,11 @@ pub fn execute_plan<T: Copy + Default + AddAssign + Send + Sync>(
         .collect();
     row_chunks.into_par_iter().for_each(|(ti, chunk)| {
         let mut arena = Vec::new();
-        let mut parents = Vec::new();
         execute_row_tile(
             &tiles[ti * gk..(ti + 1) * gk],
             weights,
             chunk,
             &mut arena,
-            &mut parents,
             n,
         );
     });
@@ -115,14 +121,12 @@ pub fn execute_plan_serial<T: Copy + Default + AddAssign>(
     let chunk_elems = plan.shape().m * n;
     let tiles = plan.tiles();
     let mut arena = Vec::new();
-    let mut parents = Vec::new();
     for (ti, chunk) in out.as_mut_slice().chunks_mut(chunk_elems).enumerate() {
         execute_row_tile(
             &tiles[ti * gk..(ti + 1) * gk],
             weights,
             chunk,
             &mut arena,
-            &mut parents,
             n,
         );
     }
@@ -163,7 +167,8 @@ fn col_tile_count(plan: &ProSparsityPlan) -> usize {
 /// with other sessions — so the executor core is generic over this view
 /// rather than over one concrete meta lifetime.
 pub trait TileExec {
-    /// The planned meta information (prefixes, packed patterns, order).
+    /// The planned meta information (prefixes, packed patterns, replay
+    /// order).
     fn meta(&self) -> &TileMeta;
     /// First weight row this tile's patterns address.
     fn col_start(&self) -> usize;
@@ -181,56 +186,66 @@ impl TileExec for TileMeta {
 /// Executes the `k`-tiles of one row group into its output chunk.
 ///
 /// `out_chunk` holds the group's `valid_rows × n` output elements; the
-/// scratch buffers are caller-owned and reused across every tile this worker
-/// processes, so the loop itself never allocates.
-///
-/// Each `k`-tile walks its rows in the Dispatcher's topological order and
-/// builds every row strip by strip in registers ([`execute_row`]). A row
-/// that some later row loads as its prefix (a *parent*) also stores its
-/// tile-local partial in the flat `arena` (Step 9's prefix load source);
-/// `parents` marks them when rows span several strips. Padding rows fall
-/// past the end of `out_chunk`, so only the arena ever sees them.
+/// arena is caller-owned and reused across every tile this worker
+/// processes, so the loop itself never allocates. The output widths the
+/// measured workloads serve get a body specialized to their constant
+/// width; every other width runs the same body with a runtime width.
 // analyze: hot-path
 pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
     k_tiles: &[V],
     weights: &WeightMatrix<T>,
     out_chunk: &mut [T],
     arena: &mut Vec<T>,
-    parents: &mut Vec<bool>,
     n: usize,
 ) {
     let wdata = weights.as_slice();
+    match n {
+        16 => replay_row_tile::<T, V, 16>(k_tiles, wdata, out_chunk, arena, n),
+        128 => replay_row_tile::<T, V, 128>(k_tiles, wdata, out_chunk, arena, n),
+        _ => replay_row_tile::<T, V, 0>(k_tiles, wdata, out_chunk, arena, n),
+    }
+}
+
+/// [`execute_row_tile`]'s body for output width `N`, or for the runtime
+/// width `n` when `N` is 0.
+///
+/// Each `k`-tile walks its rows in the plan's replay order. Every row is
+/// built in fixed strips of `STRIP` output columns (plus one narrower tail
+/// strip), each a register-resident accumulator: seeded from the arena,
+/// plus the weight-row strips selected by the pattern's set bits (Steps
+/// 10–11, bit-scan-forward), stored to the arena as the row's tile-local
+/// partial (Step 9's prefix load source), and added into the output row
+/// (Step 12). A row without a prefix seeds from the zero row past the last
+/// tile row, so no row takes a branch of its own. Padding rows fall past
+/// the end of `out_chunk`, so only the arena ever sees them.
+// analyze: hot-path
+#[inline(always)]
+fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
+    k_tiles: &[V],
+    wdata: &[T],
+    out_chunk: &mut [T],
+    arena: &mut Vec<T>,
+    n: usize,
+) {
+    let n = if N == 0 { n } else { N };
     let tile_rows = k_tiles
         .iter()
         .map(|t| t.meta().prefix.len())
         .max()
         .unwrap_or(0);
-    if arena.len() < tile_rows * n {
-        arena.resize(tile_rows * n, T::default());
+    let zero_row = tile_rows * n;
+    if arena.len() < zero_row + n {
+        arena.resize(zero_row + n, T::default());
     }
-    // A one-strip row's store costs less than finding out whether a later
-    // row loads it as its prefix, so such rows always store.
-    let store_all = n <= STRIP;
+    if let Some(zeros) = arena.get_mut(zero_row..zero_row + n) {
+        zeros.fill(T::default());
+    }
     for tile in k_tiles {
         let meta = tile.meta();
-        if !store_all {
-            parents.clear();
-            parents.resize(tile_rows, false);
-            // `NO_PREFIX` falls past the end and marks nothing.
-            for &p in &meta.prefix {
-                if let Some(flag) = parents.get_mut(p as usize) {
-                    *flag = true;
-                }
-            }
-        }
+        let col_start = tile.col_start();
         let wpr = meta.pattern_words();
-        for &r in &meta.order {
+        for &r in &meta.exec_order {
             let r = r as usize;
-            let store = store_all || parents.get(r).copied().unwrap_or(false);
-            let out_row = out_chunk.get_mut(r * n..(r + 1) * n);
-            if !store && out_row.is_none() {
-                continue; // padding row nobody depends on
-            }
             // The planner sizes both to the tile's rows, so these always
             // resolve; `get` keeps the loop free of panic paths.
             let (Some(&prefix), Some(pattern)) = (
@@ -239,13 +254,51 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
             ) else {
                 continue;
             };
-            let job = RowJob {
-                pattern,
-                col_start: tile.col_start(),
-                seed: (prefix != NO_PREFIX).then(|| prefix as usize * n),
-                store: store.then_some(r * n),
+            // `NO_PREFIX` clamps to the zero row.
+            let seed = (prefix as usize).min(tile_rows) * n;
+            let store = r * n;
+            let mut strip = |c: usize, width: usize, out_row: Option<&mut [T]>| {
+                let mut acc = [T::default(); STRIP];
+                if let Some(src) = arena.get(seed + c..seed + c + width) {
+                    for (a, &x) in acc.iter_mut().zip(src) {
+                        *a = x;
+                    }
+                }
+                for (word, &limb) in pattern.iter().enumerate() {
+                    let mut bits = limb;
+                    let base = col_start + word * 64;
+                    while bits != 0 {
+                        let off = (base + bits.trailing_zeros() as usize) * n + c;
+                        bits &= bits - 1;
+                        // Zero-padded tile columns address past the last
+                        // weight row, where `get` finds nothing.
+                        if let Some(src) = wdata.get(off..off + width) {
+                            for (a, &x) in acc.iter_mut().zip(src) {
+                                *a += x;
+                            }
+                        }
+                    }
+                }
+                if let Some(dst) = arena.get_mut(store + c..store + c + width) {
+                    for (d, &a) in dst.iter_mut().zip(&acc) {
+                        *d = a;
+                    }
+                }
+                if let Some(dst) = out_row.and_then(|o| o.get_mut(c..c + width)) {
+                    for (d, &a) in dst.iter_mut().zip(&acc) {
+                        *d += a;
+                    }
+                }
             };
-            execute_row(&job, wdata, n, arena, out_row);
+            let mut out_row = out_chunk.get_mut(store..store + n);
+            let mut c = 0;
+            while c + STRIP <= n {
+                strip(c, STRIP, out_row.as_deref_mut());
+                c += STRIP;
+            }
+            if c < n {
+                strip(c, n - c, out_row);
+            }
         }
     }
 }
@@ -267,7 +320,6 @@ pub(crate) fn execute_row_tiles<T: Copy + Default + AddAssign, V: TileExec>(
     start: usize,
     count: usize,
     arena: &mut Vec<T>,
-    parents: &mut Vec<bool>,
     tile_m: usize,
     n: usize,
 ) {
@@ -278,109 +330,17 @@ pub(crate) fn execute_row_tiles<T: Copy + Default + AddAssign, V: TileExec>(
         .skip(start)
         .take(count)
     {
-        execute_row_tile(
-            &tiles[ti * gk..(ti + 1) * gk],
-            weights,
-            chunk,
-            arena,
-            parents,
-            n,
-        );
+        execute_row_tile(&tiles[ti * gk..(ti + 1) * gk], weights, chunk, arena, n);
     }
 }
 
 /// Output columns per register-resident accumulator strip.
 const STRIP: usize = 16;
 
-/// One row of one `k`-tile, as [`execute_row`] replays it.
-struct RowJob<'a> {
-    /// The row's packed ProSparsity pattern limbs.
-    pattern: &'a [u64],
-    /// First weight row the pattern addresses.
-    col_start: usize,
-    /// Arena offset of the prefix's partial to start from (Step 9).
-    seed: Option<usize>,
-    /// Arena offset to store this row's partial at, if a later row may
-    /// load it.
-    store: Option<usize>,
-}
-
-/// Steps 9–12 for one row, in `STRIP`-wide column strips (and one
-/// narrower tail strip when `n` is not a multiple of `STRIP`). Always
-/// inlined: left out of line, the call per row visit took about a fifth of
-/// the executor's time on 16-column outputs.
-// analyze: hot-path
-#[inline(always)]
-fn execute_row<T: Copy + Default + AddAssign>(
-    job: &RowJob<'_>,
-    wdata: &[T],
-    n: usize,
-    arena: &mut [T],
-    mut out_row: Option<&mut [T]>,
-) {
-    let mut c = 0;
-    while c + STRIP <= n {
-        execute_strip(job, wdata, n, arena, out_row.as_deref_mut(), c, STRIP);
-        c += STRIP;
-    }
-    if c < n {
-        execute_strip(job, wdata, n, arena, out_row, c, n - c);
-    }
-}
-
-/// Builds columns `c..c + width` of one row in a register-resident
-/// accumulator: seed it from the prefix's arena strip or zero, add the
-/// weight-row strips selected by the pattern's set bits (Steps 10–11,
-/// bit-scan-forward), store it to the arena if a later row may load it, and
-/// add it into the output row (Step 12). Inlined with `width == STRIP`, every
-/// loop here has a constant trip count.
-// analyze: hot-path
-#[inline(always)]
-fn execute_strip<T: Copy + Default + AddAssign>(
-    job: &RowJob<'_>,
-    wdata: &[T],
-    n: usize,
-    arena: &mut [T],
-    out_row: Option<&mut [T]>,
-    c: usize,
-    width: usize,
-) {
-    let mut acc = [T::default(); STRIP];
-    if let Some(src) = job.seed.and_then(|p| arena.get(p + c..p + c + width)) {
-        for (a, &x) in acc.iter_mut().zip(src) {
-            *a = x;
-        }
-    }
-    for (word, &limb) in job.pattern.iter().enumerate() {
-        let mut bits = limb;
-        let base = job.col_start + word * 64;
-        while bits != 0 {
-            let off = (base + bits.trailing_zeros() as usize) * n + c;
-            bits &= bits - 1;
-            // Zero-padded tile columns address past the last weight row,
-            // where `get` finds nothing.
-            if let Some(src) = wdata.get(off..off + width) {
-                for (a, &x) in acc.iter_mut().zip(src) {
-                    *a += x;
-                }
-            }
-        }
-    }
-    if let Some(dst) = job.store.and_then(|r| arena.get_mut(r + c..r + c + width)) {
-        for (d, &a) in dst.iter_mut().zip(&acc) {
-            *d = a;
-        }
-    }
-    if let Some(dst) = out_row.and_then(|o| o.get_mut(c..c + width)) {
-        for (d, &a) in dst.iter_mut().zip(&acc) {
-            *d += a;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::NO_PREFIX;
     use spikemat::gemm::spiking_gemm;
 
     fn fig1_matrix() -> SpikeMatrix {
@@ -515,6 +475,37 @@ mod tests {
         let want = spiking_gemm(s, w);
         assert_eq!(execute_plan(plan, w), want, "{what}: execute_plan");
         assert_eq!(execute_plan_serial(plan, w), want, "{what}: serial");
+    }
+
+    #[test]
+    fn stale_arena_contents_never_reach_the_output() {
+        // A pooled arena arrives holding another GeMM's partials: every row
+        // stores its partial before a later row loads it, and the zero row
+        // is cleared on entry, so none of the stale values may leak.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x57A1E);
+        let s = correlated_matrix(50, 40, &mut rng);
+        let shape = TileShape::new(16, 16);
+        let plan = ProSparsityPlan::build_tiled(&s, shape);
+        let (gm, gk) = shape.grid(50, 40);
+        for n in [16, 128, 130] {
+            let w = WeightMatrix::from_fn(40, n, |_, _| rng.gen_range(-100i64..100));
+            let mut out = OutputMatrix::zeros(50, n);
+            let mut arena = vec![1_000_003i64; (shape.m + 1) * 130];
+            execute_row_tiles(
+                plan.tiles(),
+                gk,
+                &w,
+                out.as_mut_slice(),
+                0,
+                gm,
+                &mut arena,
+                shape.m,
+                n,
+            );
+            assert_eq!(out, spiking_gemm(&s, &w), "n {n}");
+        }
     }
 
     #[test]

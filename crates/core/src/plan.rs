@@ -4,8 +4,8 @@
 //! A [`ProSparsityPlan`] runs Detector → Pruner → Dispatcher over every
 //! `m × k` tile of a spike matrix and records the *meta information* the
 //! hardware would hold in its product-sparsity table: per row the prefix
-//! index and ProSparsity pattern (spatial info), plus the sorted execution
-//! order (temporal info).
+//! index and ProSparsity pattern (spatial info), plus the execution order
+//! (temporal info).
 //!
 //! # Performance
 //!
@@ -33,7 +33,14 @@
 //!   two identical rows may be the prefix) needs no check: a duplicate with
 //!   a smaller index than `j` has not been visited yet;
 //! * the patterns are XORed straight from the tile's row limbs into the
-//!   plan's one flat buffer.
+//!   plan's one flat buffer;
+//! * the stored order is the **replay order**: the Dispatcher's order
+//!   re-sorted stably by (forest depth, pattern popcount) with two more
+//!   counting passes, so rows the executor replays back to back do the same
+//!   work. A prefix is one level shallower than its row, so this order is
+//!   topological too. A row's pattern popcount is its popcount minus its
+//!   prefix's, since a prefix is a subset of its row. The Dispatcher's
+//!   order itself is a derived view, [`TileMeta::dispatch_order`].
 //!
 //! The Dispatcher's bitonic network statistics are data-independent, so the
 //! builder takes them from [`BitonicSorter::model`]. Tile extraction reuses
@@ -57,7 +64,7 @@ pub const NO_PREFIX: u32 = u32::MAX;
 pub type RowMeta = PrunedRow;
 
 /// Meta information for one `m × k` tile, stored flat: a prefix and a
-/// packed pattern per row plus the execution order. A row's [`MatchKind`]
+/// packed pattern per row plus the executor's replay order. A row's [`MatchKind`]
 /// is derived, never stored: no prefix means [`MatchKind::None`], an
 /// all-zero pattern [`MatchKind::Exact`], anything else
 /// [`MatchKind::Partial`]. The default is the allocation-free meta of a
@@ -80,10 +87,12 @@ pub struct TileMeta {
     /// All rows' ProSparsity patterns (the bits still to accumulate),
     /// [`TileMeta::pattern_words`] limbs per row.
     pub pattern_limbs: Vec<u64>,
-    /// Temporal info: tile-local row indices in execution order.
-    pub order: Vec<u32>,
-    /// Latency of the bitonic sorting network that produced `order`, in
-    /// comparator stages.
+    /// Temporal info: tile-local row indices in the executor's replay
+    /// order, the Dispatcher's order re-sorted stably by (forest depth,
+    /// pattern popcount) (module docs).
+    pub exec_order: Vec<u32>,
+    /// Latency of the bitonic sorting network that produced the
+    /// Dispatcher's order, in comparator stages.
     pub sorter_stages: usize,
 }
 
@@ -148,6 +157,58 @@ impl TileMeta {
         (0..self.prefix.len()).map(|i| self.row(i))
     }
 
+    /// The Dispatcher's order (paper Sec. V-D): rows stably sorted by
+    /// popcount. Derived on demand, since the plan stores only the replay
+    /// order.
+    pub fn dispatch_order(&self) -> Vec<u32> {
+        let mut bufs = OrderBufs::default();
+        self.dispatch_order_into(&mut bufs);
+        bufs.dispatch
+    }
+
+    /// [`TileMeta::dispatch_order`] in caller-owned buffers, so warm ones
+    /// derive it without allocating. Row popcounts are the pattern's plus
+    /// the prefix's, summed down the forest in `exec_order`, which visits
+    /// every prefix before its rows.
+    pub(crate) fn dispatch_order_into<'a>(&self, bufs: &'a mut OrderBufs) -> &'a [u32] {
+        let OrderBufs {
+            popcounts,
+            dispatch,
+            buckets,
+            ..
+        } = bufs;
+        popcounts.clear();
+        popcounts.resize(self.prefix.len(), 0);
+        let mut keys = 0;
+        for &r in &self.exec_order {
+            let r = r as usize;
+            let seed = popcounts.get(self.prefix[r] as usize).copied().unwrap_or(0);
+            popcounts[r] = seed + self.ops(r);
+            keys = keys.max(popcounts[r] + 1);
+        }
+        counting_pass(
+            0..self.prefix.len() as u32,
+            |r| popcounts[r],
+            keys,
+            buckets,
+            dispatch,
+        );
+        dispatch
+    }
+
+    /// Snapshot decode's step from a stored order to the plan's: with
+    /// `exec_order` holding a topological order read from a file, returns
+    /// false if it is not the Dispatcher's order, and otherwise replaces
+    /// it with the replay order.
+    pub(crate) fn replay_stored_dispatch_order(&mut self) -> bool {
+        let mut bufs = OrderBufs::default();
+        if self.dispatch_order_into(&mut bufs) != self.exec_order.as_slice() {
+            return false;
+        }
+        self.exec_order = replay_order(&self.prefix, self.width, &mut bufs);
+        true
+    }
+
     /// The ProSparsity forest induced by this tile's prefixes.
     pub fn forest(&self) -> ProSparsityForest {
         ProSparsityForest::from_pruned(&self.rows().collect::<Vec<_>>())
@@ -195,10 +256,8 @@ pub(crate) fn derived_kind(prefix: u32, pattern: &[u64]) -> MatchKind {
 pub struct PlanScratch {
     /// Scratch tile extracted from the source matrix.
     tile: SpikeMatrix,
-    /// NO vector of the current tile.
-    popcounts: Vec<usize>,
-    /// Counting-sort bucket offsets, one per popcount `0..=k` plus one.
-    buckets: Vec<u32>,
+    /// The current tile's popcounts and orders.
+    orders: OrderBufs,
     /// Transposed tile: per column, an m-bit mask of the rows spiking there.
     col_masks: Vec<u64>,
     /// Rows that outrank the current candidate and have no prefix yet, as
@@ -216,23 +275,117 @@ impl PlanScratch {
     }
 }
 
-/// The Dispatcher: rows ordered by popcount (each at most `k`) with a
-/// counting sort into `k + 1` buckets kept in index order — the paper's
-/// stable sort.
-fn counting_sort(popcounts: &[usize], k: usize, buckets: &mut Vec<u32>) -> Vec<u32> {
+/// Buffers of the counting passes behind a tile's Dispatcher and replay
+/// orders.
+#[derive(Debug, Default)]
+pub(crate) struct OrderBufs {
+    /// Per row, its popcount (the NO vector).
+    popcounts: Vec<usize>,
+    /// The Dispatcher's order.
+    dispatch: Vec<u32>,
+    /// Counting-sort bucket offsets.
+    buckets: Vec<u32>,
+    /// Per row, its depth in the ProSparsity forest, plus a "no prefix"
+    /// sentinel.
+    depth: Vec<u32>,
+    /// Per row, its pattern popcount.
+    ops: Vec<u32>,
+    /// The Dispatcher's order stably sorted by pattern popcount.
+    by_pattern: Vec<u32>,
+}
+
+/// One stable counting-sort pass: writes the rows of `src` to `dst` by
+/// ascending `key(row)`, each below `keys`, ties kept in `src` order. With
+/// `src` in index order and popcount keys this is the paper's
+/// "overhead-free" Dispatcher: `k + 1` buckets filled in index order.
+fn counting_pass(
+    src: impl Iterator<Item = u32> + Clone,
+    key: impl Fn(usize) -> usize,
+    keys: usize,
+    buckets: &mut Vec<u32>,
+    dst: &mut Vec<u32>,
+) {
     buckets.clear();
-    buckets.resize(k + 2, 0);
-    for &p in popcounts {
-        buckets[p + 1] += 1;
+    buckets.resize(keys + 1, 0);
+    for r in src.clone() {
+        buckets[key(r as usize) + 1] += 1;
     }
+    place(src, buckets, key, dst);
+}
+
+/// The placement half of [`counting_pass`]: `buckets` holds the histogram
+/// of `key` over `src`, shifted up one slot.
+fn place(
+    src: impl Iterator<Item = u32>,
+    buckets: &mut [u32],
+    key: impl Fn(usize) -> usize,
+    dst: &mut Vec<u32>,
+) {
     for b in 1..buckets.len() {
         buckets[b] += buckets[b - 1];
     }
-    let mut order = vec![0; popcounts.len()];
-    for (i, &p) in popcounts.iter().enumerate() {
-        order[buckets[p] as usize] = i as u32;
-        buckets[p] += 1;
+    dst.clear();
+    dst.resize(buckets.last().map_or(0, |&n| n as usize), 0);
+    for r in src {
+        let b = &mut buckets[key(r as usize)];
+        dst[*b as usize] = r;
+        *b += 1;
     }
+}
+
+/// The replay order of a `k`-column tile: the Dispatcher's topological
+/// order `bufs.dispatch` re-sorted stably by pattern popcount, then by
+/// forest depth, so it runs by (depth, pattern popcount) with ties in
+/// Dispatcher position. Both keys are counting passes, so the buckets stay
+/// `O(k + depth)` even for a chain of identical rows; one sweep computes
+/// both keys and both histograms.
+fn replay_order(prefix: &[u32], k: usize, bufs: &mut OrderBufs) -> Vec<u32> {
+    let m = prefix.len();
+    let OrderBufs {
+        popcounts,
+        dispatch,
+        buckets,
+        depth,
+        ops,
+        by_pattern,
+    } = bufs;
+    // Index `m` stands for "no prefix": a root's depth wraps to 0 from it.
+    depth.clear();
+    depth.resize(m + 1, u32::MAX);
+    ops.clear();
+    ops.resize(m, 0);
+    // Histograms, each shifted up one slot: pattern popcounts `0..=k`,
+    // then depths `0..=m`.
+    buckets.clear();
+    buckets.resize(k + 2 + m + 2, 0);
+    let (by_ops, by_depth) = buckets.split_at_mut(k + 2);
+    let mut max_depth = 0;
+    for &r in dispatch.iter() {
+        let r = r as usize;
+        let p = (prefix[r] as usize).min(m);
+        let d = depth[p].wrapping_add(1);
+        depth[r] = d;
+        max_depth = max_depth.max(d as usize);
+        // A prefix is a subset of its row, so the pattern popcount is the
+        // row's popcount minus the prefix's (masked to 0 without one).
+        let o = popcounts[r] - (popcounts[p.min(m - 1)] & usize::from(p < m).wrapping_neg());
+        ops[r] = o as u32;
+        by_ops[o + 1] += 1;
+        by_depth[d as usize + 1] += 1;
+    }
+    place(
+        dispatch.iter().copied(),
+        by_ops,
+        |r| ops[r] as usize,
+        by_pattern,
+    );
+    let mut order = Vec::new();
+    place(
+        by_pattern.iter().copied(),
+        &mut by_depth[..max_depth + 2],
+        |r| depth[r] as usize,
+        &mut order,
+    );
     order
 }
 
@@ -252,13 +405,18 @@ fn build_tile_meta(
     assert!(m < NO_PREFIX as usize, "{m} rows overflow a u32 row index");
     let mask_words = m.div_ceil(64);
     let PlanScratch {
-        popcounts,
-        buckets,
+        orders,
         col_masks,
         unclaimed,
         supersets,
         ..
     } = scratch;
+    let OrderBufs {
+        popcounts,
+        dispatch,
+        buckets,
+        ..
+    } = orders;
 
     // Transpose the tile into column→row-set masks, one 64×64 bit block at
     // a time (word-parallel; ~6·32 word ops per block instead of a bit-by-
@@ -285,8 +443,8 @@ fn build_tile_meta(
         }
     }
     let spike_bits: u64 = popcounts.iter().map(|&p| p as u64).sum();
-    let order = counting_sort(popcounts, k, buckets);
-    debug_assert!(order
+    counting_pass(0..m as u32, |r| popcounts[r], k + 1, buckets, dispatch);
+    debug_assert!(dispatch
         .iter()
         .map(|&i| i as usize)
         .eq(crate::order::sorted_order(popcounts)));
@@ -299,7 +457,7 @@ fn build_tile_meta(
     unclaimed.clear();
     unclaimed.resize(mask_words, 0);
     let mut prefix = vec![NO_PREFIX; m];
-    'candidates: for &j in order.iter().rev() {
+    'candidates: for &j in dispatch.iter().rev() {
         let j = j as usize;
         if popcounts[j] == 0 {
             break; // zero rows are never prefixes, and only they remain
@@ -344,9 +502,9 @@ fn build_tile_meta(
             valid_rows: m,
             valid_cols: k,
             width: k,
+            exec_order: replay_order(&prefix, k, orders),
             prefix,
             pattern_limbs,
-            order,
             sorter_stages: sorter.stages(),
         },
         spike_bits,
@@ -556,8 +714,10 @@ mod tests {
         ] {
             let plan = ProSparsityPlan::build_tiled(&m, shape);
             for t in plan.tiles() {
-                let order: Vec<usize> = t.order.iter().map(|&r| r as usize).collect();
-                assert!(is_valid_order(&t.forest(), &order));
+                for order in [&t.exec_order, &t.dispatch_order()] {
+                    let order: Vec<usize> = order.iter().map(|&r| r as usize).collect();
+                    assert!(is_valid_order(&t.forest(), &order));
+                }
             }
         }
     }
@@ -592,7 +752,6 @@ mod tests {
     #[test]
     fn fused_build_matches_staged_detect_prune_oracle() {
         use crate::detect::detect_tile;
-        use crate::order::sorted_order;
         use crate::prune::prune_tile;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
@@ -611,25 +770,81 @@ mod tests {
             let meta = TileMeta::build(&tile, 0, 0);
             let pruned = prune_tile(&tile, &detect_tile(&tile));
             assert_eq!(meta.rows().collect::<Vec<_>>(), pruned, "trial {trial}");
-            let popcounts: Vec<usize> = tile.row_slice().iter().map(BitRow::popcount).collect();
-            let order: Vec<usize> = meta.order.iter().map(|&r| r as usize).collect();
-            assert_eq!(order, sorted_order(&popcounts), "trial {trial}");
+            assert_orders(&tile, &meta, &format!("trial {trial}"));
         }
     }
 
     #[test]
-    fn counting_sort_is_the_stable_sort_by_popcount() {
+    fn replay_order_of_an_identical_row_chain() {
+        // 300 identical rows chain 0 <- 1 <- ... <- 299 (depth 299): one
+        // depth bucket per row, and the replay order is the chain itself.
+        let row: &[u8] = &[1, 0, 1, 1, 0, 0, 1, 0, 1];
+        let tile = SpikeMatrix::from_rows_of_bits(&[row; 300]);
+        let meta = TileMeta::build(&tile, 0, 0);
+        assert_eq!(meta.forest().max_depth(), 299);
+        assert_eq!(meta.exec_order, (0..300).collect::<Vec<u32>>());
+        assert_orders(&tile, &meta, "chain");
+    }
+
+    /// Checks both orders of `meta`, built from `tile`, against their
+    /// oracles. The Dispatcher's order is the stable popcount sort. The
+    /// replay order is a permutation that puts every prefix before its
+    /// row, never decreases in (forest depth, pattern popcount), and keeps
+    /// ties in Dispatcher position.
+    fn assert_orders(tile: &SpikeMatrix, meta: &TileMeta, what: &str) {
+        use crate::order::sorted_order;
+        let popcounts: Vec<usize> = tile.row_slice().iter().map(BitRow::popcount).collect();
+        let dispatch: Vec<usize> = meta.dispatch_order().iter().map(|&r| r as usize).collect();
+        assert_eq!(dispatch, sorted_order(&popcounts), "{what}");
+        let m = meta.prefix.len();
+        let mut position = vec![usize::MAX; m];
+        for (pos, &r) in meta.exec_order.iter().enumerate() {
+            assert_eq!(position[r as usize], usize::MAX, "{what}: row {r} twice");
+            position[r as usize] = pos;
+        }
+        assert_eq!(meta.exec_order.len(), m, "{what}: not a permutation");
+        for (r, &p) in meta.prefix.iter().enumerate() {
+            if p != NO_PREFIX {
+                assert!(
+                    position[p as usize] < position[r],
+                    "{what}: row {r} before its prefix"
+                );
+            }
+        }
+        let forest = meta.forest();
+        let mut dispatch_pos = vec![0; m];
+        for (pos, &r) in dispatch.iter().enumerate() {
+            dispatch_pos[r] = pos;
+        }
+        let key = |r: u32| {
+            let r = r as usize;
+            (forest.depth(r), meta.ops(r), dispatch_pos[r])
+        };
+        for pair in meta.exec_order.windows(2) {
+            assert!(
+                key(pair[0]) < key(pair[1]),
+                "{what}: rows {pair:?} out of order"
+            );
+        }
+    }
+
+    #[test]
+    fn counting_pass_is_the_stable_sort_by_popcount() {
         use crate::order::sorted_order;
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xC0);
-        let mut buckets = Vec::new();
+        let (mut buckets, mut order) = (Vec::new(), Vec::new());
         let mut check = |pcs: &[usize], k: usize| {
-            let order: Vec<usize> = counting_sort(pcs, k, &mut buckets)
-                .into_iter()
-                .map(|i| i as usize)
-                .collect();
-            assert_eq!(order, sorted_order(pcs), "k {k} popcounts {pcs:?}");
+            counting_pass(
+                0..pcs.len() as u32,
+                |r| pcs[r],
+                k + 1,
+                &mut buckets,
+                &mut order,
+            );
+            let got: Vec<usize> = order.iter().map(|&i| i as usize).collect();
+            assert_eq!(got, sorted_order(pcs), "k {k} popcounts {pcs:?}");
         };
         check(&[], 0);
         check(&[], 16);

@@ -115,9 +115,9 @@ pub fn simulate_layer(spikes: &SpikeMatrix, n_cols: usize, config: &ProsperityCo
                 // Issue in the Dispatcher's order, honouring the
                 // output-buffer read-after-write hazard on prefix loads.
                 let order: Vec<usize> = meta
-                    .order
-                    .iter()
-                    .map(|&r| r as usize)
+                    .dispatch_order()
+                    .into_iter()
+                    .map(|r| r as usize)
                     .filter(|&r| r < valid)
                     .collect();
                 // A prefix index may point at a padding row (never: only

@@ -39,7 +39,7 @@ fn main() {
     }
     println!(
         "execution order (stable sort by popcount): {:?}\n",
-        tile.order
+        tile.dispatch_order()
     );
 
     let s = plan.stats();

@@ -128,7 +128,7 @@ fn fused_tile_meta_matches_staged_pipeline() {
             assert_eq!(&got, want, "trial {trial} row {i}");
         }
         let popcounts: Vec<usize> = tile.row_slice().iter().map(BitRow::popcount).collect();
-        let order: Vec<usize> = meta.order.iter().map(|&r| r as usize).collect();
+        let order: Vec<usize> = meta.dispatch_order().iter().map(|&r| r as usize).collect();
         assert_eq!(order, sorted_order(&popcounts), "trial {trial}");
     }
 }
@@ -169,13 +169,17 @@ fn tile_meta_consistency() {
     for _ in 0..64 {
         let tile = random_tile(&mut rng, 32, 16);
         let meta = TileMeta::build(&tile, 0, 0);
-        // Order is a permutation.
+        // The replay order is a permutation, and the derived Dispatcher
+        // order is the stable popcount sort.
         let mut seen = vec![false; tile.rows()];
-        for &r in &meta.order {
+        for &r in &meta.exec_order {
             assert!(!seen[r as usize]);
             seen[r as usize] = true;
         }
         assert!(seen.into_iter().all(|s| s));
+        let popcounts: Vec<usize> = tile.row_slice().iter().map(BitRow::popcount).collect();
+        let order: Vec<usize> = meta.dispatch_order().iter().map(|&r| r as usize).collect();
+        assert_eq!(order, sorted_order(&popcounts));
         // Stats bit ops equal actual spikes.
         let s = meta.stats(tile.total_spikes() as u64);
         assert_eq!(s.rows as usize, tile.rows());

@@ -495,6 +495,53 @@ fn snapshot_restored_sessions_serve_identically_but_warmer() {
     }
 }
 
+/// Plans restored from a decoded snapshot replay losslessly at every
+/// output width: the two the executor specializes (16, 128) and a runtime
+/// width with a tail strip (130), through the parallel, serial and
+/// quantum-1 sliced paths. Rows drawn from a few base rows give deep prefix
+/// chains, so the derived replay order is exercised.
+#[test]
+fn snapshot_restored_plans_replay_losslessly_at_every_width() {
+    use prosperity::spikemat::gemm::spiking_gemm;
+    use prosperity::spikemat::SpikeMatrix;
+    let mut rng = StdRng::seed_from_u64(0x1617);
+    let (m, k) = (150, 40);
+    let bases = SpikeMatrix::random(3, k, 0.25, &mut rng);
+    let rows = (0..m)
+        .map(|_| {
+            let mut row = bases.row(rng.gen_range(0..3)).clone();
+            for _ in 0..rng.gen_range(0..4) {
+                row.set(rng.gen_range(0..k), true);
+            }
+            row
+        })
+        .collect();
+    let spikes = SpikeMatrix::from_rows(rows);
+    let config = EngineConfig::new(TileShape::new(64, 16), 256);
+    let mut original = Engine::<i64>::new(config);
+    original.gemm(&spikes, &WeightMatrix::from_fn(k, 1, |r, _| r as i64));
+    let snapshot = original.export_snapshot(config.cache_capacity);
+    let decoded = PlanSnapshot::decode(snapshot.encode()).expect("decode");
+    for n in [16, 128, 130] {
+        let w = WeightMatrix::from_fn(k, n, |_, _| rng.gen_range(-100i64..100));
+        let want = spiking_gemm(&spikes, &w);
+        let (mut warm, report) = Session::warm_start(config, &decoded);
+        assert_eq!(report.restored, snapshot.len(), "n {n}");
+        let mut out = OutputMatrix::zeros(0, 0);
+        warm.gemm_into(&spikes, &w, &mut out);
+        assert_eq!(out, want, "n {n}: gemm_into");
+        warm.gemm_into_serial(&spikes, &w, &mut out);
+        assert_eq!(out, want, "n {n}: gemm_into_serial");
+        while !warm.gemm_slice(&spikes, &w, &mut out, 1).done {}
+        assert_eq!(out, want, "n {n}: gemm_slice quantum 1");
+        assert_eq!(
+            warm.stats().cache_misses,
+            0,
+            "n {n}: served from the snapshot"
+        );
+    }
+}
+
 /// Warm-starting a whole scheduler fleet: the shared cache restored from a
 /// previous fleet's snapshot starts at that fleet's steady-state hit rate.
 #[test]
