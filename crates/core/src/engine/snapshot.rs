@@ -46,7 +46,9 @@
 //! pattern limbs, concatenated, are [`TileMeta::pattern_limbs`]. The
 //! stored order is [`TileMeta::dispatch_order`], so it is redundant as
 //! well: decode rejects one that differs from the order derived from the
-//! prefixes and patterns, then derives [`TileMeta::exec_order`].
+//! prefixes and patterns, then derives [`TileMeta::exec_order`]. It also
+//! rejects an all-zero row used as a prefix, since the executor skips
+//! all-zero rows.
 //!
 //! Typical lifecycle:
 //!
@@ -484,11 +486,10 @@ fn decode_entry(buf: &mut Bytes) -> Result<SnapshotEntry, SnapshotError> {
         sorter_stages,
     };
     // The file stores the Dispatcher's order, which the plan derives: a
-    // topological order that is not the stable popcount sort was not
-    // written by this planner.
-    if !meta.replay_stored_dispatch_order() {
-        return Err(SnapshotError::Corrupt("execution order"));
-    }
+    // topological order that is not the stable popcount sort, or a zero
+    // row used as a prefix, was not written by this planner.
+    meta.replay_stored_dispatch_order()
+        .map_err(SnapshotError::Corrupt)?;
     Ok(SnapshotEntry {
         hash,
         limbs,
@@ -728,6 +729,27 @@ mod tests {
         ));
         // Untouched, the same reforge pipeline decodes fine.
         assert!(reforged(&clean, |_| {}).is_ok());
+        // A rowless entry may declare any width: nothing is sized by it,
+        // so it decodes without a width-sized allocation. Layout of this
+        // one-entry file: 20-byte header, hash | hits | limb count 0 |
+        // row_start | col_start | valid_rows | valid_cols | sorter_stages |
+        // row_count 0 | pattern_bits.
+        let empty = PlanSnapshot {
+            entries: vec![SnapshotEntry {
+                hash: hash_limbs(&[]),
+                limbs: Box::default(),
+                meta: Arc::new(TileMeta::default()),
+                hits: 1,
+            }],
+        };
+        let clean = empty.encode().to_vec();
+        assert_eq!(clean.len(), 76);
+        let wide = reforged(&clean, |b| {
+            b[72..76].copy_from_slice(&u32::MAX.to_le_bytes())
+        })
+        .expect("a rowless entry of any width is well formed");
+        assert_eq!(wide.entries[0].meta.width, u32::MAX as usize);
+        assert!(wide.entries[0].meta.exec_order.is_empty());
     }
 
     #[test]
@@ -779,6 +801,29 @@ mod tests {
                 b[order_at + 4..order_at + 8].copy_from_slice(&0u32.to_le_bytes());
             }),
             Err(SnapshotError::Corrupt("execution order"))
+        ));
+        assert!(reforged(&clean, |_| {}).is_ok());
+    }
+
+    #[test]
+    fn forged_zero_row_prefix_is_rejected() {
+        // The executor skips all-zero rows, so a file may not make one the
+        // prefix of another row, even with a consistent kind and order.
+        let tile = SpikeMatrix::from_rows_of_bits(&[&[0, 0, 0, 0], &[1, 0, 0, 1]]);
+        let snap = tile_snapshot(&tile);
+        let meta = &snap.entries[0].meta;
+        assert_eq!(meta.prefix, vec![NO_PREFIX; 2]);
+        assert_eq!(meta.dispatch_order(), vec![0, 1]);
+        let clean = snap.encode().to_vec();
+        // The last row (prefix u32 | kind u8 | one pattern limb) sits just
+        // before the two order u32s.
+        let row1_at = clean.len() - 8 - 13;
+        assert!(matches!(
+            reforged(&clean, |b| {
+                b[row1_at..row1_at + 4].copy_from_slice(&0u32.to_le_bytes());
+                b[row1_at + 4] = MatchKind::Partial as u8;
+            }),
+            Err(SnapshotError::Corrupt("row prefix"))
         ));
         assert!(reforged(&clean, |_| {}).is_ok());
     }

@@ -26,9 +26,12 @@
 //!   with a runtime width.
 //! * Tile-local partials live in one flat arena of `(tile_rows + 1) × n`
 //!   elements per row-tile, indexed by row offset — no per-row heap
-//!   allocation inside the tile loop. Every row stores its partial there,
-//!   so no row needs to know whether a later row loads it. A row without a
-//!   prefix seeds from the zero row at the end, so the seed has no branch.
+//!   allocation inside the tile loop. Every replayed row stores its
+//!   partial there, so no row needs to know whether a later row loads it.
+//!   A row without a prefix seeds from the zero row at the end, so the seed
+//!   has no branch. All-zero rows, padding included, lead the replay order
+//!   and are never prefixes, so each tile skips that run before its row
+//!   loop.
 //! * Rows run in the plan's replay order ([`TileMeta::exec_order`]): the
 //!   Dispatcher's order re-sorted by (forest depth, pattern popcount), so
 //!   rows with the same bit-scan trip count run back to back.
@@ -216,8 +219,8 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
 /// 10–11, bit-scan-forward), stored to the arena as the row's tile-local
 /// partial (Step 9's prefix load source), and added into the output row
 /// (Step 12). A row without a prefix seeds from the zero row past the last
-/// tile row, so no row takes a branch of its own. Padding rows fall past
-/// the end of `out_chunk`, so only the arena ever sees them.
+/// tile row, so no row takes a branch of its own. Zero rows, padding rows
+/// included, lead the replay order and are skipped as one run.
 // analyze: hot-path
 #[inline(always)]
 fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
@@ -244,7 +247,22 @@ fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
         let meta = tile.meta();
         let col_start = tile.col_start();
         let wpr = meta.pattern_words();
-        for &r in &meta.exec_order {
+        // All-zero rows (padding included) lead the replay order: depth 0,
+        // no pattern bits. They add nothing and are never prefixes, so the
+        // run is skipped before the row loop. A row with a prefix follows
+        // every root, and its prefix chain starts at a root with a pattern
+        // bit, so the run ends at the first pattern bit.
+        let zero_rows = meta
+            .exec_order
+            .iter()
+            .take_while(|&&r| {
+                let r = r as usize;
+                meta.pattern_limbs
+                    .get(r * wpr..(r + 1) * wpr)
+                    .is_some_and(|p| p.iter().all(|&l| l == 0))
+            })
+            .count();
+        for &r in meta.exec_order.iter().skip(zero_rows) {
             let r = r as usize;
             // The planner sizes both to the tile's rows, so these always
             // resolve; `get` keeps the loop free of panic paths.
@@ -479,13 +497,24 @@ mod tests {
 
     #[test]
     fn stale_arena_contents_never_reach_the_output() {
-        // A pooled arena arrives holding another GeMM's partials: every row
-        // stores its partial before a later row loads it, and the zero row
-        // is cleared on entry, so none of the stale values may leak.
+        // A pooled arena arrives holding another GeMM's partials: every
+        // replayed row stores its partial before a later row loads it, the
+        // zero row is cleared on entry, and the skipped rows (all-zero rows
+        // and the 14 padding rows of the last row-tile) are never loaded, so
+        // none of the stale values may leak.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        use spikemat::BitRow;
         let mut rng = StdRng::seed_from_u64(0x57A1E);
-        let s = correlated_matrix(50, 40, &mut rng);
+        let c = correlated_matrix(50, 40, &mut rng);
+        let s = SpikeMatrix::from_rows(
+            (0..50)
+                .map(|r| match r % 7 {
+                    3 => BitRow::zeros(40),
+                    _ => c.row(r).clone(),
+                })
+                .collect(),
+        );
         let shape = TileShape::new(16, 16);
         let plan = ProSparsityPlan::build_tiled(&s, shape);
         let (gm, gk) = shape.grid(50, 40);

@@ -197,16 +197,24 @@ impl TileMeta {
     }
 
     /// Snapshot decode's step from a stored order to the plan's: with
-    /// `exec_order` holding a topological order read from a file, returns
-    /// false if it is not the Dispatcher's order, and otherwise replaces
-    /// it with the replay order.
-    pub(crate) fn replay_stored_dispatch_order(&mut self) -> bool {
+    /// `exec_order` holding a topological order read from a file, names
+    /// the corrupt field if it is not the Dispatcher's order or a zero row
+    /// is a prefix, and otherwise replaces it with the replay order.
+    pub(crate) fn replay_stored_dispatch_order(&mut self) -> Result<(), &'static str> {
         let mut bufs = OrderBufs::default();
         if self.dispatch_order_into(&mut bufs) != self.exec_order.as_slice() {
-            return false;
+            return Err("execution order");
         }
-        self.exec_order = replay_order(&self.prefix, self.width, &mut bufs);
-        true
+        // The executor skips zero rows, so none may be a prefix.
+        if self
+            .prefix
+            .iter()
+            .any(|&p| bufs.popcounts.get(p as usize) == Some(&0))
+        {
+            return Err("row prefix");
+        }
+        self.exec_order = replay_order(&self.prefix, &mut bufs);
+        Ok(())
     }
 
     /// The ProSparsity forest induced by this tile's prefixes.
@@ -333,13 +341,14 @@ fn place(
     }
 }
 
-/// The replay order of a `k`-column tile: the Dispatcher's topological
-/// order `bufs.dispatch` re-sorted stably by pattern popcount, then by
-/// forest depth, so it runs by (depth, pattern popcount) with ties in
-/// Dispatcher position. Both keys are counting passes, so the buckets stay
-/// `O(k + depth)` even for a chain of identical rows; one sweep computes
-/// both keys and both histograms.
-fn replay_order(prefix: &[u32], k: usize, bufs: &mut OrderBufs) -> Vec<u32> {
+/// A tile's replay order: the Dispatcher's topological order
+/// `bufs.dispatch` re-sorted stably by pattern popcount, then by forest
+/// depth, so it runs by (depth, pattern popcount) with ties in Dispatcher
+/// position. Both keys are counting passes whose buckets are sized by the
+/// largest row popcount and the row count, so they stay `O(k + depth)`
+/// even for a chain of identical rows, and a snapshot's declared width
+/// sizes nothing. One sweep computes both keys and both histograms.
+fn replay_order(prefix: &[u32], bufs: &mut OrderBufs) -> Vec<u32> {
     let m = prefix.len();
     let OrderBufs {
         popcounts,
@@ -349,16 +358,17 @@ fn replay_order(prefix: &[u32], k: usize, bufs: &mut OrderBufs) -> Vec<u32> {
         ops,
         by_pattern,
     } = bufs;
+    let op_keys = popcounts.iter().max().map_or(0, |&p| p + 1);
     // Index `m` stands for "no prefix": a root's depth wraps to 0 from it.
     depth.clear();
     depth.resize(m + 1, u32::MAX);
     ops.clear();
     ops.resize(m, 0);
-    // Histograms, each shifted up one slot: pattern popcounts `0..=k`,
-    // then depths `0..=m`.
+    // Histograms, each shifted up one slot: pattern popcounts
+    // `0..op_keys`, then depths `0..=m`.
     buckets.clear();
-    buckets.resize(k + 2 + m + 2, 0);
-    let (by_ops, by_depth) = buckets.split_at_mut(k + 2);
+    buckets.resize(op_keys + 1 + m + 2, 0);
+    let (by_ops, by_depth) = buckets.split_at_mut(op_keys + 1);
     let mut max_depth = 0;
     for &r in dispatch.iter() {
         let r = r as usize;
@@ -367,8 +377,8 @@ fn replay_order(prefix: &[u32], k: usize, bufs: &mut OrderBufs) -> Vec<u32> {
         depth[r] = d;
         max_depth = max_depth.max(d as usize);
         // A prefix is a subset of its row, so the pattern popcount is the
-        // row's popcount minus the prefix's (masked to 0 without one).
-        let o = popcounts[r] - (popcounts[p.min(m - 1)] & usize::from(p < m).wrapping_neg());
+        // row's popcount minus the prefix's.
+        let o = popcounts[r] - popcounts.get(p).copied().unwrap_or(0);
         ops[r] = o as u32;
         by_ops[o + 1] += 1;
         by_depth[d as usize + 1] += 1;
@@ -502,7 +512,7 @@ fn build_tile_meta(
             valid_rows: m,
             valid_cols: k,
             width: k,
-            exec_order: replay_order(&prefix, k, orders),
+            exec_order: replay_order(&prefix, orders),
             prefix,
             pattern_limbs,
             sorter_stages: sorter.stages(),
