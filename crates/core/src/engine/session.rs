@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use crate::exec::{execute_row_tile, execute_row_tiles, TileExec};
-use crate::plan::{PlanScratch, TileMeta};
+use crate::plan::{build_tile_meta, PlanScratch, TileMeta};
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::SpikeMatrix;
 
@@ -159,10 +159,8 @@ pub struct Session<T = i64> {
     /// so the per-tile hot path locks only this window, never a registry.
     shared_admission: Option<Arc<Mutex<Admission>>>,
     plan_scratch: PlanScratch,
-    /// Scratch tile a cache miss is extracted into for planning.
-    tile_buf: SpikeMatrix,
     /// Scratch flat key (the tile's row-major limbs) every lookup hashes
-    /// and verifies.
+    /// and verifies, and every miss is planned from.
     key_buf: Vec<u64>,
     /// The current GeMM's placed tiles, row-major; reused across calls.
     tiles: Vec<PlacedTile>,
@@ -262,7 +260,6 @@ impl<T: Element> Session<T> {
             tenant: 0,
             shared_admission: None,
             plan_scratch: PlanScratch::new(),
-            tile_buf: SpikeMatrix::zeros(0, 0),
             key_buf: Vec::new(),
             tiles: Vec::new(),
             gk: 0,
@@ -394,12 +391,13 @@ impl<T: Element> Session<T> {
 
     /// Resolves one tile to a plan: cache hit, or plan-and-offer.
     ///
-    /// The lookup reads only the tile's key, built straight from the spike
-    /// rows; the tile itself is extracted into `tile_buf` on a miss, just
-    /// before planning. For the shared backend, planning happens *outside*
-    /// the shard lock so concurrent sessions overlap their Detector/Pruner
-    /// work; the offer afterwards deduplicates racing planners (identical
-    /// by construction — planning is a pure function of the tile bits).
+    /// The tile's key is built straight from the spike rows; a lookup
+    /// hashes and verifies it, and a miss (every tile when caching is off)
+    /// is planned from it, so no tile is extracted. For the shared backend,
+    /// planning happens *outside* the shard lock so concurrent sessions
+    /// overlap their Detector/Pruner work; the offer afterwards
+    /// deduplicates racing planners (identical by construction — planning
+    /// is a pure function of the tile bits).
     fn plan_tile(
         &mut self,
         spikes: &SpikeMatrix,
@@ -410,7 +408,6 @@ impl<T: Element> Session<T> {
             config,
             cache,
             plan_scratch,
-            tile_buf,
             key_buf,
             shared_admission,
             stats,
@@ -418,30 +415,24 @@ impl<T: Element> Session<T> {
         } = self;
         let shape = config.tile;
         let admission = shared_admission.as_deref();
-        let mut fresh = || {
-            spikes.submatrix_into(row_start, col_start, shape.m, shape.k, tile_buf);
-            let (meta, _) = TileMeta::build_with(tile_buf, 0, 0, plan_scratch);
-            Arc::new(meta)
-        };
-        let mut hash_key = || {
-            spikes.tile_key_into(row_start, col_start, shape.m, shape.k, key_buf);
-            hash_limbs(key_buf)
-        };
+        spikes.tile_key_into(row_start, col_start, shape.m, shape.k, key_buf);
+        let key: &[u64] = key_buf;
+        let mut fresh = || Arc::new(build_tile_meta(key, shape.m, shape.k, plan_scratch).0);
         match cache {
             CacheSlot::Off => {
                 stats.cache_misses += 1;
                 fresh()
             }
             CacheSlot::Private(cache) => {
-                let hash = hash_key();
-                if let Some((meta, restored)) = cache.lookup(hash, key_buf) {
+                let hash = hash_limbs(key);
+                if let Some((meta, restored)) = cache.lookup(hash, key) {
                     stats.cache_hits += 1;
                     stats.restored_hits += u64::from(restored);
                     return meta;
                 }
                 stats.cache_misses += 1;
                 let meta = fresh();
-                match cache.insert(hash, key_buf, Arc::clone(&meta)) {
+                match cache.insert(hash, key, Arc::clone(&meta)) {
                     InsertOutcome::Inserted => {}
                     InsertOutcome::Evicted => stats.cache_evictions += 1,
                     InsertOutcome::Bypassed => stats.cache_bypasses += 1,
@@ -450,14 +441,14 @@ impl<T: Element> Session<T> {
                 meta
             }
             CacheSlot::Shared(shared) => {
-                let hash = hash_key();
-                if let Some((meta, restored)) = shared.lookup(hash, key_buf, admission) {
+                let hash = hash_limbs(key);
+                if let Some((meta, restored)) = shared.lookup(hash, key, admission) {
                     stats.cache_hits += 1;
                     stats.restored_hits += u64::from(restored);
                     return meta;
                 }
                 stats.cache_misses += 1;
-                let (meta, outcome) = shared.insert(hash, key_buf, fresh(), admission);
+                let (meta, outcome) = shared.insert(hash, key, fresh(), admission);
                 match outcome {
                     // Deduplicated: a racing session won the insert; the
                     // resident plan is used and no admission bypass is

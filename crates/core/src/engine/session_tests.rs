@@ -299,3 +299,63 @@ fn gemm_into_refuses_to_resume_an_in_flight_slice() {
     assert!(!run.done, "quantum 1 leaves 3 of 4 row-tiles pending");
     engine.gemm_into(&s, &w, &mut out);
 }
+
+/// The paper's default 256×16 tile over a ragged 300×70 input (a 44-row
+/// tail row-tile and a 6-column tail k-tile): every backend plans its
+/// misses from the lookup key, through `gemm_into`, `gemm_into_serial` and
+/// quantum-1 `gemm_slice`. Outputs are bit-identical to the dense
+/// reference and the cache counts are pinned per backend.
+#[test]
+fn default_tile_plans_from_the_key_under_every_backend() {
+    let mut rng = StdRng::seed_from_u64(41);
+    let a = SpikeMatrix::random(300, 70, 0.3, &mut rng);
+    let b = SpikeMatrix::random(300, 70, 0.1, &mut rng);
+    let w = WeightMatrix::from_fn(70, 16, |r, c| (r * 3 + c) as i64 - 40);
+    let tile = TileShape::prosperity_default();
+    // (gemms, tiles, hits, misses, evictions, bypasses, restored hits):
+    // 10 tiles per GeMM. The 12-plan caches hit all of the repeated `a`;
+    // `b` then evicts 8 plans, and the last `a` misses all 10 tiles and
+    // evicts 10 more.
+    let sessions = [
+        (
+            "off",
+            Session::new(EngineConfig::new(tile, 0)),
+            (4, 40, 0, 40, 0, 0, 0),
+        ),
+        (
+            "private",
+            Session::new(EngineConfig::new(tile, 12)),
+            (4, 40, 10, 30, 18, 0, 0),
+        ),
+        (
+            "shared",
+            Session::with_shared(
+                EngineConfig::new(tile, 0),
+                Arc::new(SharedPlanCache::new(12)),
+            ),
+            (4, 40, 10, 30, 18, 0, 0),
+        ),
+    ];
+    let mut out = OutputMatrix::zeros(0, 0);
+    for (backend, mut session, expected) in sessions {
+        for (step, s) in [&a, &a, &b, &a].into_iter().enumerate() {
+            match step {
+                1 => session.gemm_into_serial(s, &w, &mut out),
+                2 => while !session.gemm_slice(s, &w, &mut out, 1).done {},
+                _ => session.gemm_into(s, &w, &mut out),
+            }
+            assert_eq!(out, spiking_gemm(s, &w), "{backend} step {step}");
+        }
+        let st = session.stats();
+        let counts = (
+            st.gemms,
+            st.tiles,
+            st.cache_hits,
+            st.cache_misses,
+            st.cache_evictions,
+            st.cache_bypasses,
+            st.restored_hits,
+        );
+        assert_eq!(counts, expected, "{backend}");
+    }
+}

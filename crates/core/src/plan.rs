@@ -15,9 +15,13 @@
 //! ([`crate::detect::detect_tile`]) and reducing them
 //! ([`crate::prune::prune_tile`]):
 //!
+//! * the planner's one input is the tile's row-major limbs, exactly the
+//!   plan-cache key [`SpikeMatrix::tile_key_into`] writes, so a cache miss
+//!   plans from the key it just looked up and no tile is extracted;
 //! * the tile is transposed once into per-column **row masks** (bit `j` of
-//!   mask `c` ⇔ row `j` spikes at column `c`), counting each row's
-//!   popcount on the way;
+//!   mask `c` ⇔ row `j` spikes at column `c`), gathering each 64×64 block
+//!   from the limbs with a one-row stride and counting each row's popcount
+//!   on the way;
 //! * the Dispatcher's execution order is a **counting sort** of the rows by
 //!   popcount into `k + 1` buckets filled in index order — exactly the
 //!   paper's stable sort, with no comparisons;
@@ -26,14 +30,21 @@
 //!   Pruner's argmax key. A row may take `j` as its prefix only if it
 //!   outranks `j` in that key, i.e. was visited before `j`. So `j`'s
 //!   supersets are the visited rows not yet claimed, intersected with the
-//!   masks of `j`'s one-columns — 64 rows per word, with early exit as soon
-//!   as none survives. Every surviving row takes `j` as its prefix and
-//!   leaves the unclaimed set, so each row's prefix is written once and is
-//!   the staged Pruner's choice. The exact-match rule (only the earlier of
-//!   two identical rows may be the prefix) needs no check: a duplicate with
-//!   a smaller index than `j` has not been visited yet;
-//! * the patterns are XORed straight from the tile's row limbs into the
-//!   plan's one flat buffer;
+//!   masks of `j`'s one-columns, 64 rows per word. Every surviving row
+//!   takes `j` as its prefix and leaves the unclaimed set, so each row's
+//!   prefix is written once and is the staged Pruner's choice. The
+//!   exact-match rule (only the earlier of two identical rows may be the
+//!   prefix) needs no check: a duplicate with a smaller index than `j` has
+//!   not been visited yet;
+//! * the Pruner is one body generic over a constant mask-word count, like
+//!   the executor's constant widths: tiles of 193–256 rows (the paper's
+//!   default 256-row tile) keep the unclaimed and superset masks in
+//!   4-word arrays, read each candidate's row limbs directly and AND all
+//!   its column masks inline; every other height runs the same body over
+//!   runtime-length masks through [`spikemat::simd::intersect_fold`], which
+//!   exits a candidate early as soon as no superset survives;
+//! * the patterns are one copy of the limbs, each prefixed row XORed in
+//!   place with its prefix's limbs;
 //! * the stored order is the **replay order**: the Dispatcher's order
 //!   re-sorted stably by (forest depth, pattern popcount) with two more
 //!   counting passes, so rows the executor replays back to back do the same
@@ -43,11 +54,10 @@
 //!   order itself is a derived view, [`TileMeta::dispatch_order`].
 //!
 //! The Dispatcher's bitonic network statistics are data-independent, so the
-//! builder takes them from [`BitonicSorter::model`]. Tile extraction reuses
-//! one scratch [`SpikeMatrix`] per worker ([`SpikeMatrix::submatrix_into`]),
-//! and independent tiles are planned across threads. The staged
-//! `detect_tile`/`prune_tile` functions remain the property-test oracle for
-//! this fused path.
+//! builder takes them from [`BitonicSorter::model`]. Independent tiles are
+//! planned across threads, each worker writing tile keys into its
+//! [`PlanScratch`]. The staged `detect_tile`/`prune_tile` functions remain
+//! the property-test oracle for this fused path.
 
 use crate::forest::ProSparsityForest;
 use crate::order::BitonicSorter;
@@ -99,22 +109,29 @@ pub struct TileMeta {
 impl TileMeta {
     /// Builds meta information for one padded tile.
     pub fn build(tile: &SpikeMatrix, row_start: usize, col_start: usize) -> Self {
-        build_tile_meta(tile, row_start, col_start, &mut PlanScratch::default()).0
+        Self::build_with(tile, row_start, col_start, &mut PlanScratch::default()).0
     }
 
     /// [`TileMeta::build`] with caller-owned scratch buffers: returns the
-    /// meta plus the tile's spike-bit count. Repeated planning through one
-    /// [`PlanScratch`] reuses the transpose blocks, column masks, and
-    /// superset accumulators, allocating only for the meta it emits. This is
-    /// the entry point the execution engine's plan cache fills misses
-    /// through.
+    /// meta plus the tile's spike-bit count. The tile's row limbs are
+    /// concatenated into the scratch key buffer and planned from there, as
+    /// the execution engine plans a miss from its cache key. Repeated
+    /// planning through one [`PlanScratch`] reuses the key, transpose and
+    /// mask buffers, allocating only for the meta it emits.
     pub fn build_with(
         tile: &SpikeMatrix,
         row_start: usize,
         col_start: usize,
         scratch: &mut PlanScratch,
     ) -> (Self, u64) {
-        build_tile_meta(tile, row_start, col_start, scratch)
+        let mut key = std::mem::take(&mut scratch.key);
+        key.clear();
+        key.extend(tile.row_slice().iter().flat_map(BitRow::limbs));
+        let (mut meta, spike_bits) = build_tile_meta(&key, tile.rows(), tile.cols(), scratch);
+        scratch.key = key;
+        meta.row_start = row_start;
+        meta.col_start = col_start;
+        (meta, spike_bits)
     }
 
     /// Limbs per row in [`TileMeta::pattern_limbs`].
@@ -262,17 +279,15 @@ pub(crate) fn derived_kind(prefix: u32, pattern: &[u64]) -> MatchKind {
 /// plan cache owns one for exactly this purpose.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
-    /// Scratch tile extracted from the source matrix.
-    tile: SpikeMatrix,
+    /// The current tile's row-major limbs (its plan-cache key).
+    key: Vec<u64>,
     /// The current tile's popcounts and orders.
     orders: OrderBufs,
     /// Transposed tile: per column, an m-bit mask of the rows spiking there.
     col_masks: Vec<u64>,
-    /// Rows that outrank the current candidate and have no prefix yet, as
-    /// an m-bit mask: the only rows the candidate may claim.
-    unclaimed: Vec<u64>,
-    /// Superset accumulator for the current candidate, as an m-bit mask.
-    supersets: Vec<u64>,
+    /// The runtime-width Pruner's two m-bit row masks, back to back (see
+    /// [`prune`]).
+    prune_masks: Vec<u64>,
 }
 
 impl PlanScratch {
@@ -399,26 +414,28 @@ fn replay_order(prefix: &[u32], bufs: &mut OrderBufs) -> Vec<u32> {
     order
 }
 
-/// Fused Detector + Pruner + Dispatcher for one padded tile.
+/// Fused Detector + Pruner + Dispatcher for one `m × k` tile given as its
+/// row-major limbs, `⌈k/64⌉` per row with no bits past column `k`: the
+/// plan-cache key that [`SpikeMatrix::tile_key_into`] writes.
 ///
-/// Returns the tile meta plus the tile's spike-bit count (reused for stats).
-/// See the module docs for the word-parallel candidate-mask scheme.
-fn build_tile_meta(
-    tile: &SpikeMatrix,
-    row_start: usize,
-    col_start: usize,
+/// Returns the meta of a tile placed at (0, 0) plus the tile's spike-bit
+/// count (reused for stats). See the module docs for the word-parallel
+/// candidate-mask scheme.
+// analyze: hot-path
+pub(crate) fn build_tile_meta(
+    limbs: &[u64],
+    m: usize,
+    k: usize,
     scratch: &mut PlanScratch,
 ) -> (TileMeta, u64) {
-    let rows = tile.row_slice();
-    let m = rows.len();
-    let k = tile.cols();
+    let words = k.div_ceil(64);
     assert!(m < NO_PREFIX as usize, "{m} rows overflow a u32 row index");
+    assert_eq!(limbs.len(), m * words, "not the limbs of a {m}×{k} tile");
     let mask_words = m.div_ceil(64);
     let PlanScratch {
         orders,
         col_masks,
-        unclaimed,
-        supersets,
+        prune_masks,
         ..
     } = scratch;
     let OrderBufs {
@@ -430,85 +447,77 @@ fn build_tile_meta(
 
     // Transpose the tile into column→row-set masks, one 64×64 bit block at
     // a time (word-parallel; ~6·32 word ops per block instead of a bit-by-
-    // bit scatter), counting each row's popcount from the gathered block.
-    // Columns are padded to whole blocks so every block store is
+    // bit scatter), gathering each block's rows from the limbs with a
+    // stride of one row and counting each row's popcount from the gathered
+    // block. Columns are padded to whole blocks so every block store is
     // unconditional; masks past column k are simply never consulted. Rows
     // past m are zero in every mask.
-    let col_words = k.div_ceil(64);
     popcounts.clear();
     popcounts.resize(m, 0);
     col_masks.clear();
-    col_masks.resize(col_words * 64 * mask_words, 0);
+    col_masks.resize(words * 64 * mask_words, 0);
     let mut block = [0u64; 64];
     for row_block in 0..mask_words {
-        for col_block in 0..col_words {
-            spikemat::bitops::gather_block(rows, row_block, col_block, &mut block);
-            for (pc, limb) in popcounts[row_block * 64..].iter_mut().zip(&block) {
+        for col_block in 0..words {
+            let column = limbs
+                .get(row_block * 64 * words + col_block..)
+                .unwrap_or(&[]);
+            block.fill(0);
+            for (slot, &limb) in block.iter_mut().zip(column.iter().step_by(words)) {
+                *slot = limb;
+            }
+            for (pc, limb) in popcounts.iter_mut().skip(row_block * 64).zip(&block) {
                 *pc += limb.count_ones() as usize;
             }
             spikemat::bitops::transpose64(&mut block);
-            for (c, &limb) in block.iter().enumerate() {
-                col_masks[(col_block * 64 + c) * mask_words + row_block] = limb;
+            let dst = col_masks
+                .iter_mut()
+                .skip(col_block * 64 * mask_words + row_block);
+            for (mask, &limb) in dst.step_by(mask_words).zip(&block) {
+                *mask = limb;
             }
         }
     }
     let spike_bits: u64 = popcounts.iter().map(|&p| p as u64).sum();
-    counting_pass(0..m as u32, |r| popcounts[r], k + 1, buckets, dispatch);
+    let popcount = |r: usize| popcounts.get(r).copied().unwrap_or(0);
+    counting_pass(0..m as u32, popcount, k + 1, buckets, dispatch);
     debug_assert!(dispatch
         .iter()
         .map(|&i| i as usize)
         .eq(crate::order::sorted_order(popcounts)));
     let sorter = BitonicSorter::model(m);
 
-    // Visit candidates in descending (popcount, index) order — the
-    // Pruner's argmax key. Only rows visited before `j` outrank it, so the
-    // first candidate to reach an unclaimed visited superset is exactly the
-    // staged pipeline's selected prefix.
-    unclaimed.clear();
-    unclaimed.resize(mask_words, 0);
+    // Zero rows lead the Dispatcher's order and are never prefixes, so the
+    // Pruner's candidates are the rows after them.
+    let zero_rows = popcounts.iter().filter(|&&p| p == 0).count();
+    let candidates = dispatch.get(zero_rows..).unwrap_or(&[]);
     let mut prefix = vec![NO_PREFIX; m];
-    'candidates: for &j in dispatch.iter().rev() {
-        let j = j as usize;
-        if popcounts[j] == 0 {
-            break; // zero rows are never prefixes, and only they remain
-        }
-        // supersets(j) = unclaimed ∩ over j's one-columns of that column's
-        // row mask; j joins the unclaimed rows after its own visit.
-        supersets.clear();
-        supersets.extend_from_slice(unclaimed);
-        unclaimed[j / 64] |= 1 << (j % 64);
-        for c in rows[j].ones() {
-            let mask = &col_masks[c * mask_words..(c + 1) * mask_words];
-            if spikemat::simd::intersect_fold(supersets, mask, usize::MAX, 0) == 0 {
-                continue 'candidates;
-            }
-        }
-        for (w, (&claimed, free)) in supersets.iter().zip(unclaimed.iter_mut()).enumerate() {
-            *free &= !claimed;
-            let mut bits = claimed;
-            while bits != 0 {
-                prefix[w * 64 + bits.trailing_zeros() as usize] = j as u32;
-                bits &= bits - 1;
-            }
+    let rows = (limbs, words);
+    match mask_words {
+        4 => prune::<4>(rows, col_masks, candidates, &mut [0; 8], &mut prefix),
+        _ => {
+            prune_masks.clear();
+            prune_masks.resize(2 * mask_words, 0);
+            prune::<0>(rows, col_masks, candidates, prune_masks, &mut prefix);
         }
     }
 
-    let mut pattern_limbs = Vec::with_capacity(m * col_words);
-    for (row, &p) in rows.iter().zip(&prefix) {
-        match p {
-            NO_PREFIX => pattern_limbs.extend_from_slice(row.limbs()),
-            p => pattern_limbs.extend(
-                row.limbs()
-                    .iter()
-                    .zip(rows[p as usize].limbs())
-                    .map(|(a, b)| a ^ b),
-            ),
+    let mut pattern_limbs = limbs.to_vec();
+    if words > 0 {
+        for (row, &p) in pattern_limbs.chunks_exact_mut(words).zip(&prefix) {
+            if p == NO_PREFIX {
+                continue;
+            }
+            let prefix_limbs = limbs.get(p as usize * words..).unwrap_or(&[]);
+            for (a, b) in row.iter_mut().zip(prefix_limbs) {
+                *a ^= b;
+            }
         }
     }
     (
         TileMeta {
-            row_start,
-            col_start,
+            row_start: 0,
+            col_start: 0,
             valid_rows: m,
             valid_cols: k,
             width: k,
@@ -519,6 +528,70 @@ fn build_tile_meta(
         },
         spike_bits,
     )
+}
+
+/// The Pruner over `candidates` (the Dispatcher's order without its zero
+/// rows), writing each claimed row's prefix. `rows` is the tile's
+/// row-major limbs and their count per row, `col_masks` per column the
+/// row mask of the rows spiking there. `masks` is two zeroed row masks
+/// of `W` words each, or of a runtime word count when `W` is 0:
+/// `unclaimed`, the rows that outrank the candidate and have no prefix
+/// yet (the only rows it may claim), and the candidate's `supersets`.
+///
+/// Candidates are visited in descending (popcount, index) order, the
+/// Pruner's argmax key. Only rows visited before `j` outrank it, so the
+/// first candidate to reach an unclaimed visited superset is exactly the
+/// staged pipeline's selected prefix. supersets(j) = unclaimed ∩ over
+/// `j`'s one-columns of that column's row mask; `j` joins the unclaimed
+/// rows after its own visit.
+// analyze: hot-path
+#[inline(always)]
+fn prune<const W: usize>(
+    (limbs, words): (&[u64], usize),
+    col_masks: &[u64],
+    candidates: &[u32],
+    masks: &mut [u64],
+    prefix: &mut [u32],
+) {
+    let mw = if W == 0 { masks.len() / 2 } else { W };
+    let (unclaimed, supersets) = masks.split_at_mut(mw);
+    'candidates: for &j in candidates.iter().rev() {
+        let j = j as usize;
+        supersets.copy_from_slice(unclaimed);
+        if let Some(free) = unclaimed.get_mut(j / 64) {
+            *free |= 1 << (j % 64);
+        }
+        let row = limbs.get(j * words..(j + 1) * words).unwrap_or(&[]);
+        for (w, &limb) in row.iter().enumerate() {
+            let mut cols = limb;
+            while cols != 0 {
+                let c = w * 64 + cols.trailing_zeros() as usize;
+                cols &= cols - 1;
+                let mask = col_masks.get(c * mw..(c + 1) * mw).unwrap_or(&[]);
+                if W == 0 {
+                    if spikemat::simd::intersect_fold(supersets, mask, usize::MAX, 0) == 0 {
+                        continue 'candidates;
+                    }
+                } else {
+                    // A few words: ANDing them all costs less than the
+                    // unpredictable early-exit branch would save.
+                    for (s, &m) in supersets.iter_mut().zip(mask) {
+                        *s &= m;
+                    }
+                }
+            }
+        }
+        for (w, (&claimed, free)) in supersets.iter().zip(unclaimed.iter_mut()).enumerate() {
+            *free &= !claimed;
+            let mut bits = claimed;
+            while bits != 0 {
+                if let Some(p) = prefix.get_mut(w * 64 + bits.trailing_zeros() as usize) {
+                    *p = j as u32;
+                }
+                bits &= bits - 1;
+            }
+        }
+    }
 }
 
 /// The complete ProSparsity meta information for one spiking GeMM.
@@ -543,7 +616,7 @@ impl ProSparsityPlan {
     ///
     /// Tiles are planned independently: they are split into contiguous
     /// row-major ranges across the rayon workers (one range at one thread),
-    /// each worker reusing one scratch tile buffer. The result is identical
+    /// each worker reusing one [`PlanScratch`]. The result is identical
     /// to the serial build ([`ProSparsityPlan::build_tiled_serial`]).
     pub fn build_tiled(spikes: &SpikeMatrix, shape: TileShape) -> Self {
         let (gm, gk) = shape.grid(spikes.rows(), spikes.cols());
@@ -571,8 +644,8 @@ impl ProSparsityPlan {
     }
 
     /// [`ProSparsityPlan::build_tiled_serial`] with caller-owned scratch:
-    /// repeated planning through one [`PlanScratch`] reuses the extracted
-    /// tile, transpose blocks, mask buffers, and prefix accumulators, so a
+    /// repeated planning through one [`PlanScratch`] reuses the tile key,
+    /// mask buffers, and order buffers, so a
     /// steady-state planning sweep allocates only for the plan it returns.
     pub fn build_tiled_with(
         spikes: &SpikeMatrix,
@@ -635,7 +708,7 @@ impl ProSparsityPlan {
 }
 
 /// Plans the row-major tile range `[range.start, range.end)` of the grid
-/// through one scratch tile and set of planner buffers.
+/// through one set of planner buffers, planning each tile from its key.
 fn build_tile_range(
     spikes: &SpikeMatrix,
     shape: TileShape,
@@ -649,10 +722,12 @@ fn build_tile_range(
         let (ti, tj) = (t / gk, t % gk);
         let row_start = ti * shape.m;
         let col_start = tj * shape.k;
-        let mut tile_buf = std::mem::take(&mut scratch.tile);
-        spikes.submatrix_into(row_start, col_start, shape.m, shape.k, &mut tile_buf);
-        let (mut meta, spike_bits) = build_tile_meta(&tile_buf, row_start, col_start, scratch);
-        scratch.tile = tile_buf;
+        let mut key = std::mem::take(&mut scratch.key);
+        spikes.tile_key_into(row_start, col_start, shape.m, shape.k, &mut key);
+        let (mut meta, spike_bits) = build_tile_meta(&key, shape.m, shape.k, scratch);
+        scratch.key = key;
+        meta.row_start = row_start;
+        meta.col_start = col_start;
         // Padding rows/cols are all-zero, so the whole-tile spike count above
         // already equals the valid-region count.
         meta.valid_rows = (spikes.rows() - row_start).min(shape.m);
@@ -784,6 +859,42 @@ mod tests {
         }
     }
 
+    /// Every Pruner arm against the staged oracle, on both sides of the
+    /// const 4-mask-word arm (193–256 rows) and across pattern-limb
+    /// boundaries. One scratch is threaded through every shape, so it also
+    /// switches arms; the key-fed planner must equal [`TileMeta::build`].
+    #[test]
+    fn pruner_arms_match_the_staged_oracle() {
+        use crate::detect::detect_tile;
+        use crate::prune::prune_tile;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xA4);
+        let (mut scratch, mut key) = (PlanScratch::new(), Vec::new());
+        for m in [1, 63, 64, 65, 192, 193, 255, 256, 257, 300] {
+            for k in [1, 16, 63, 64, 65, 140] {
+                let tiles = [
+                    (
+                        "random",
+                        SpikeMatrix::random(m, k, rng.gen_range(0.05..0.6), &mut rng),
+                    ),
+                    ("duplicate-heavy", duplicate_heavy_tile(m, k, &mut rng)),
+                    ("zero", SpikeMatrix::zeros(m, k)),
+                ];
+                for (input, tile) in tiles {
+                    let what = format!("{m}×{k} {input}");
+                    tile.tile_key_into(0, 0, m, k, &mut key);
+                    let (meta, spike_bits) = build_tile_meta(&key, m, k, &mut scratch);
+                    assert_eq!(meta, TileMeta::build(&tile, 0, 0), "{what}");
+                    assert_eq!(spike_bits, tile.total_spikes() as u64, "{what}");
+                    let pruned = prune_tile(&tile, &detect_tile(&tile));
+                    assert_eq!(meta.rows().collect::<Vec<_>>(), pruned, "{what}");
+                    assert_orders(&tile, &meta, &what);
+                }
+            }
+        }
+    }
+
     #[test]
     fn replay_order_of_an_identical_row_chain() {
         // 300 identical rows chain 0 <- 1 <- ... <- 299 (depth 299): one
@@ -896,15 +1007,28 @@ mod tests {
         let mut scratch = PlanScratch::new();
         // One scratch threaded through matrices of varying shapes must give
         // exactly the same plans as fresh builds.
-        for _ in 0..15 {
-            let m = rng.gen_range(1..60);
-            let k = rng.gen_range(1..40);
-            let s = SpikeMatrix::random(m, k, rng.gen_range(0.05..0.5), &mut rng);
-            let shape = TileShape::new(rng.gen_range(1..=16), rng.gen_range(1..=16));
-            let with = ProSparsityPlan::build_tiled_with(&s, shape, &mut scratch);
-            let fresh = ProSparsityPlan::build_tiled_serial(&s, shape);
-            assert_eq!(with.stats(), fresh.stats());
-            assert_eq!(with.tiles(), fresh.tiles());
+        let mut cases: Vec<(SpikeMatrix, TileShape)> = (0..15)
+            .map(|_| {
+                let m = rng.gen_range(1..60);
+                let k = rng.gen_range(1..40);
+                let s = SpikeMatrix::random(m, k, rng.gen_range(0.05..0.5), &mut rng);
+                (
+                    s,
+                    TileShape::new(rng.gen_range(1..=16), rng.gen_range(1..=16)),
+                )
+            })
+            .collect();
+        // 256-row tiles take the const 4-word Pruner arm, 300- and 16-row
+        // tiles the runtime one, so each switch reuses the other's buffers.
+        let tall = SpikeMatrix::random(600, 40, 0.3, &mut rng);
+        for rows in [256, 300, 16, 256, 16, 300, 256] {
+            cases.push((tall.clone(), TileShape::new(rows, 16)));
+        }
+        for (s, shape) in &cases {
+            let with = ProSparsityPlan::build_tiled_with(s, *shape, &mut scratch);
+            let fresh = ProSparsityPlan::build_tiled_serial(s, *shape);
+            assert_eq!(with.stats(), fresh.stats(), "{shape:?}");
+            assert_eq!(with.tiles(), fresh.tiles(), "{shape:?}");
         }
     }
 

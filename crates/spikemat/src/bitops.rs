@@ -4,8 +4,7 @@ use crate::bitrow::BitRow;
 
 /// Gathers the 64×64 bit block at `(row_block, col_block)` of `rows` into
 /// `block`, zero-padding past the matrix edge — the row-major input layout
-/// [`transpose64`] expects. Shared by the matrix transpose and the planner's
-/// column-mask builder so block-edge semantics stay in one place.
+/// [`transpose64`] expects.
 pub fn gather_block(rows: &[BitRow], row_block: usize, col_block: usize, block: &mut [u64; 64]) {
     for (r, limb) in block.iter_mut().enumerate() {
         let row = row_block * 64 + r;
