@@ -11,15 +11,14 @@
 //! 2. **hot-path-panic** — no `unwrap`/`expect`/`panic!`/non-literal
 //!    indexing inside `// analyze: hot-path` regions (PR 7: "zero
 //!    allocations and no panic paths in the warm step loop").
-//! 3. **unsafe-hygiene** — `unsafe` confined to the SIMD/allocator files,
-//!    always with `// SAFETY:` comments and `# Safety` docs (PR 7:
-//!    "scalar code is the reference semantics for every unsafe path").
+//! 3. **unsafe-hygiene** — `unsafe` confined to the counting allocator in
+//!    `tests/alloc.rs`, always with `// SAFETY:` comments and `# Safety`
+//!    docs; the library crates forbid it outright.
 //! 4. **counter-coverage** — every stats field observed by a test or the
 //!    bench JSON contract script (PR 6: "every absorbed fault shows up in
 //!    a counter").
 //! 5. **cfg-feature** — every `#[cfg(feature = "...")]` names a declared
-//!    feature (keeps the `simd`/`fault-injection` forwarding
-//!    chains honest).
+//!    feature (keeps the `fault-injection` forwarding chain honest).
 //!
 //! Like the repo's `trace_io` codec, the crate has **zero dependencies**:
 //! the lexer, scope tracker, and TOML-subset allowlist parser are all

@@ -64,7 +64,7 @@ fn unsafe_bad_fires_good_is_silent() {
     assert!(bad
         .iter()
         .all(|f| f.msg.contains("outside the allowlisted files")));
-    // The good twin puts the same code at crates/spikemat/src/simd.rs with
+    // The good twin puts the same code at tests/alloc.rs with
     // full `# Safety` / `// SAFETY:` hygiene.
     assert!(findings("unsafe/good").is_empty());
 }

@@ -1,6 +1,6 @@
-//! Fixture twin: `unsafe` confined to the allowlisted SIMD module, with a
-//! `# Safety` doc section on the public fn and `// SAFETY:` comments on
-//! every site.
+//! Fixture twin: `unsafe` confined to the allowlisted allocator test file,
+//! with a `# Safety` doc section on the public fn and `// SAFETY:` comments
+//! on every site.
 
 /// Reads the byte at `p`.
 ///

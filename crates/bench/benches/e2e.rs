@@ -304,10 +304,9 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"e2e\",\n  \"unit\": \"ms\",\n  \"timing\": \
          \"best_of_reps\",\n  \"smoke\": {},\n  \"threads\": {},\n  \
-         \"parallel_feature\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+         \"scenarios\": [\n{}\n  ]\n}}\n",
         smoke,
         threads,
-        prosperity_core::parallel_enabled(),
         body.join(",\n")
     );
     if smoke {

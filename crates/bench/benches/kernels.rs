@@ -333,17 +333,15 @@ fn main() {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json").to_string()
     });
     let body: Vec<String> = results.iter().map(json_scenario).collect();
-    // `threads_effective` is what the parallel paths actually get (rayon
-    // pool size, 1 without the feature): the JSON checker only holds
+    // `threads_effective` is what the parallel paths actually get (the
+    // rayon pool size): the JSON checker only holds
     // parallel timings to the ≥serial bar when it exceeds 1.
     let json = format!(
         "{{\n  \"bench\": \"kernels\",\n  \"unit\": \"ms\",\n  \"timing\": \
          \"best_of_reps\",\n  \"threads\": {},\n  \"threads_effective\": {},\n  \
-         \"parallel_feature\": {},\n  \
          \"scenarios\": [\n{}\n  ]\n}}\n",
         threads,
         prosperity_core::parallel_threads(),
-        prosperity_core::parallel_enabled(),
         body.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write bench json");

@@ -1,15 +1,9 @@
-//! Perf regression bench for the SIMD limb kernels and the allocation-free
-//! serving hot path.
+//! Perf regression bench for the allocation-free serving hot path.
 //!
-//! Four scenario families, written to `BENCH_perf.json` (override with
+//! Two scenarios, written to `BENCH_perf.json` (override with
 //! `BENCH_PERF_OUT`) and held to thresholds by
 //! `scripts/check_bench_json.sh`:
 //!
-//! * `intersect_popcount` — the planner's superset-intersect fold and the
-//!   Detector's popcount, routed ([`spikemat::simd`] dispatch) vs the
-//!   scalar oracles. With SIMD compiled in and AVX2 present
-//!   (`simd_active`), the routed path must be ≥ 1.2× the scalar one.
-//! * `transpose64` — the 64×64 block bit-transpose, routed vs scalar.
 //! * `alloc_steady_state` — warm serial GeMM steps under a counting
 //!   `#[global_allocator]`; steady-state allocations per step must be 0.
 //! * `snapshot_encode` — warm-buffer [`PlanSnapshot::encode_into`]
@@ -18,7 +12,7 @@
 //! Run with:
 //!
 //! ```text
-//! cargo bench -p prosperity-bench --bench perf --features simd
+//! cargo bench -p prosperity-bench --bench perf
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -29,7 +23,7 @@ use prosperity_core::engine::{Engine, EngineConfig, PlanSnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
-use spikemat::{simd, SpikeMatrix, TileShape};
+use spikemat::{SpikeMatrix, TileShape};
 
 /// Counts allocations (alloc, alloc_zeroed, realloc) while armed.
 struct CountingAlloc;
@@ -82,138 +76,10 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.load(Ordering::SeqCst)
 }
 
-/// Deterministic limb stream (splitmix-style), avoiding rand in the timed
-/// setup so buffers are reproducible across runs.
-fn fill_limbs(seed: u64, out: &mut [u64]) {
-    let mut state = seed;
-    for limb in out.iter_mut() {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *limb = state ^ (state >> 31);
-    }
-}
-
-/// Planner-shaped intersect workload: `masks` column masks of `words`
-/// limbs each folded into an accumulator that is re-seeded every `cols`
-/// steps (one candidate row's worth of one-columns).
-fn intersect_pass(
-    acc: &mut [u64],
-    masks: &[u64],
-    words: usize,
-    cols: usize,
-    fold: impl Fn(&mut [u64], &[u64], usize, u64) -> u64,
-) -> u64 {
-    let mut sink = 0u64;
-    for (i, mask) in masks.chunks_exact(words).enumerate() {
-        if i % cols == 0 {
-            acc.fill(!0);
-        }
-        sink ^= fold(acc, mask, i % words, 1u64 << (i % 64));
-    }
-    sink
-}
-
 const REPS: usize = 25;
 
-/// One routed-vs-scalar kernel row: per-call ns and speedup.
-struct KernelRow {
-    name: &'static str,
-    scalar_ns: f64,
-    simd_ns: f64,
-}
-
-impl KernelRow {
-    fn speedup(&self) -> f64 {
-        self.scalar_ns / self.simd_ns
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "    {{\"name\": \"{}\", \"scalar_ns\": {:.2}, \"simd_ns\": {:.2}, \
-             \"speedup\": {:.3}}}",
-            self.name,
-            self.scalar_ns,
-            self.simd_ns,
-            self.speedup()
-        )
-    }
-}
-
-fn bench_intersect_popcount() -> KernelRow {
-    // 2048-row masks (32 limbs) — the geometry at which intersect
-    // dispatch engages the AVX2 fold (see `MIN_INTERSECT_LIMBS`); 256
-    // column folds per pass.
-    const WORDS: usize = 32;
-    const FOLDS: usize = 256;
-    const COLS: usize = 32;
-    let mut masks = vec![0u64; WORDS * FOLDS];
-    fill_limbs(0x1A7E5EC7, &mut masks);
-    let mut acc = vec![0u64; WORDS];
-    // Popcount half: a 4096-limb spike buffer counted per pass.
-    let mut limbs = vec![0u64; 4096];
-    fill_limbs(0x90BC0047, &mut limbs);
-
-    let scalar_ms = time_ms(REPS, || {
-        let s = intersect_pass(&mut acc, &masks, WORDS, COLS, simd::intersect_fold_scalar);
-        s ^ simd::popcount_scalar(&limbs)
-    });
-    let simd_ms = time_ms(REPS, || {
-        let s = intersect_pass(&mut acc, &masks, WORDS, COLS, simd::intersect_fold);
-        s ^ simd::popcount(&limbs)
-    });
-    // ns per pass (both halves); the ratio is what the checker enforces.
-    KernelRow {
-        name: "intersect_popcount",
-        scalar_ns: scalar_ms * 1e6,
-        simd_ns: simd_ms * 1e6,
-    }
-}
-
-fn bench_transpose() -> KernelRow {
-    const BLOCKS: usize = 256;
-    let mut seed_blocks = vec![[0u64; 64]; BLOCKS];
-    for (i, b) in seed_blocks.iter_mut().enumerate() {
-        fill_limbs(0x7A05 + i as u64, &mut b[..]);
-    }
-    let mut work = seed_blocks.clone();
-    let scalar_ms = time_ms(REPS, || {
-        for b in work.iter_mut() {
-            spikemat::bitops::transpose64_scalar(b);
-        }
-    });
-    work.clone_from(&seed_blocks);
-    let simd_ms = time_ms(REPS, || {
-        for b in work.iter_mut() {
-            spikemat::bitops::transpose64(b);
-        }
-    });
-    KernelRow {
-        name: "transpose64",
-        scalar_ns: scalar_ms * 1e6 / BLOCKS as f64,
-        simd_ns: simd_ms * 1e6 / BLOCKS as f64,
-    }
-}
-
 fn main() {
-    let simd_active = prosperity_core::simd_active();
-    println!(
-        "ProSparsity perf bench (simd feature: {}, simd active: {})",
-        cfg!(feature = "simd"),
-        simd_active
-    );
-
-    let intersect = bench_intersect_popcount();
-    let transpose = bench_transpose();
-    for row in [&intersect, &transpose] {
-        println!(
-            "{:<20} scalar {:>10.1} ns   simd {:>10.1} ns   {:>5.2}x",
-            row.name,
-            row.scalar_ns,
-            row.simd_ns,
-            row.speedup()
-        );
-    }
+    println!("ProSparsity perf bench");
 
     // --- Steady-state serving steps under the counting allocator.
     let mut rng = StdRng::seed_from_u64(0xA110C);
@@ -266,18 +132,13 @@ fn main() {
     });
     let json = format!(
         "{{\n  \"bench\": \"perf\",\n  \"unit\": \"ms\",\n  \"timing\": \"best_of_reps\",\n  \
-         \"simd_feature\": {simd_feature},\n  \"simd_active\": {simd_active},\n  \
-         \"threads_effective\": {threads},\n  \"scenarios\": [\n{intersect},\n{transpose},\n    \
+         \"threads_effective\": {threads},\n  \"scenarios\": [\n    \
          {{\"name\": \"alloc_steady_state\", \"steps\": {steps}, \"allocs_total\": {allocs}, \
          \"allocs_per_step\": {per_step:.1}, \"step_ms\": {step_ms:.4}}},\n    \
          {{\"name\": \"snapshot_encode\", \"bytes\": {bytes}, \"plans\": {plans}, \
          \"encode_ms\": {encode_ms:.4}, \"mb_per_s\": {mbps:.1}, \
          \"allocs_warm\": {encode_allocs}}}\n  ]\n}}\n",
-        simd_feature = cfg!(feature = "simd"),
-        simd_active = simd_active,
         threads = prosperity_core::parallel_threads(),
-        intersect = intersect.json(),
-        transpose = transpose.json(),
         steps = STEPS,
         allocs = step_allocs,
         per_step = step_allocs as f64 / STEPS as f64,

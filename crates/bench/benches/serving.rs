@@ -1580,17 +1580,15 @@ fn main() {
     ));
     body.push(json_fleet(&fl));
     // `threads_effective` is what the parallel row-tile paths actually get
-    // (rayon pool size, or 1 without the feature), as in BENCH_kernels.json
+    // (the rayon pool size), as in BENCH_kernels.json
     // — it makes intra-GeMM parallel numbers interpretable on 1-core hosts.
     let json = format!(
         "{{\n  \"bench\": \"serving\",\n  \"unit\": \"ms\",\n  \"timing\": \
          \"best_of_reps\",\n  \"smoke\": {},\n  \"threads\": {},\n  \
-         \"threads_effective\": {},\n  \
-         \"parallel_feature\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+         \"threads_effective\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         smoke,
         threads,
         prosperity_core::parallel_threads(),
-        prosperity_core::parallel_enabled(),
         body.join(",\n")
     );
     if smoke {

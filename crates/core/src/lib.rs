@@ -97,10 +97,10 @@ pub fn parallel_threads() -> usize {
     rayon::current_num_threads()
 }
 
-/// Whether this build compiles the AVX2 limb-kernel fast paths *and* the
-/// running CPU supports them (runtime-dispatched; see [`spikemat::simd`]).
+/// Always `false`: the limb kernels are scalar word loops with no
+/// hand-written SIMD path. Kept because benchmark provenance records it.
 pub fn simd_active() -> bool {
-    spikemat::simd::active()
+    false
 }
 pub use forest::ProSparsityForest;
 pub use order::{forest_walk_order, sorted_order};

@@ -41,8 +41,8 @@
 //!   default 256-row tile) keep the unclaimed and superset masks in
 //!   4-word arrays, read each candidate's row limbs directly and AND all
 //!   its column masks inline; every other height runs the same body over
-//!   runtime-length masks through [`spikemat::simd::intersect_fold`], which
-//!   exits a candidate early as soon as no superset survives;
+//!   runtime-length masks and exits a candidate early as soon as no
+//!   superset survives;
 //! * the patterns are one copy of the limbs, each prefixed row XORed in
 //!   place with its prefix's limbs;
 //! * the stored order is the **replay order**: the Dispatcher's order
@@ -151,7 +151,10 @@ impl TileMeta {
 
     /// Accumulations row `i` performs per output column.
     pub fn ops(&self, i: usize) -> usize {
-        spikemat::simd::popcount(self.pattern(i)) as usize
+        self.pattern(i)
+            .iter()
+            .map(|l| l.count_ones() as usize)
+            .sum()
     }
 
     /// Row `i`'s relationship to its prefix, derived as the type docs say.
@@ -568,16 +571,15 @@ fn prune<const W: usize>(
                 let c = w * 64 + cols.trailing_zeros() as usize;
                 cols &= cols - 1;
                 let mask = col_masks.get(c * mw..(c + 1) * mw).unwrap_or(&[]);
-                if W == 0 {
-                    if spikemat::simd::intersect_fold(supersets, mask, usize::MAX, 0) == 0 {
-                        continue 'candidates;
-                    }
-                } else {
-                    // A few words: ANDing them all costs less than the
-                    // unpredictable early-exit branch would save.
-                    for (s, &m) in supersets.iter_mut().zip(mask) {
-                        *s &= m;
-                    }
+                let mut any = 0;
+                for (s, &m) in supersets.iter_mut().zip(mask) {
+                    *s &= m;
+                    any |= *s;
+                }
+                // The const-width arm has a few words: ANDing them all
+                // costs less than the unpredictable early exit would save.
+                if W == 0 && any == 0 {
+                    continue 'candidates;
                 }
             }
         }

@@ -21,39 +21,32 @@ pub fn gather_block(rows: &[BitRow], row_block: usize, col_block: usize, block: 
 /// `a[r]` holds row `r`, LSB-first (bit `c` ⇔ column `c`); on return
 /// `a[c]` holds the original column `c` (bit `r` ⇔ original row `r`).
 ///
-/// Dispatches to the AVX2 swap network when the `simd` feature is
-/// compiled in and the CPU supports it ([`crate::simd::active`]);
-/// otherwise — and as the property-tested oracle either way — runs
-/// [`transpose64_scalar`]. Both produce identical bits.
-#[inline]
-pub fn transpose64(a: &mut [u64; 64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if crate::simd::active() {
-        // SAFETY: `active()` verified AVX2 support on this CPU.
-        unsafe { crate::simd::avx2::transpose64(a) };
-        return;
-    }
-    transpose64_scalar(a)
-}
-
-/// Portable scalar transpose — the reference semantics of [`transpose64`].
-///
 /// Classic block-swap network (Hacker's Delight §7-3): log₂64 rounds of
 /// exchanging off-diagonal sub-blocks, so the whole transpose costs
-/// ~6 × 32 word operations instead of 64 × 64 single-bit moves.
-pub fn transpose64_scalar(a: &mut [u64; 64]) {
-    let mut j = 32usize;
-    let mut mask = 0x0000_0000_FFFF_FFFFu64;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 64 {
-            let t = ((a[k] >> j) ^ a[k + j]) & mask;
-            a[k] ^= t << j;
-            a[k + j] ^= t;
-            k = (k + j + 1) & !j;
+/// ~6 × 32 word operations instead of 64 × 64 single-bit moves. Each
+/// round swaps contiguous runs of limbs, which the compiler vectorizes.
+#[inline]
+pub fn transpose64(a: &mut [u64; 64]) {
+    round::<32>(a, 0x0000_0000_FFFF_FFFF);
+    round::<16>(a, 0x0000_FFFF_0000_FFFF);
+    round::<8>(a, 0x00FF_00FF_00FF_00FF);
+    round::<4>(a, 0x0F0F_0F0F_0F0F_0F0F);
+    round::<2>(a, 0x3333_3333_3333_3333);
+    round::<1>(a, 0x5555_5555_5555_5555);
+}
+
+/// One swap round at distance `J`: in every `2J`-limb chunk, the bits of
+/// the low half selected by `mask << J` trade places with the bits of the
+/// high half selected by `mask`.
+#[inline(always)]
+fn round<const J: usize>(a: &mut [u64; 64], mask: u64) {
+    for chunk in a.chunks_exact_mut(2 * J) {
+        let (lo, hi) = chunk.split_at_mut(J);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            let t = ((*x >> J) ^ *y) & mask;
+            *x ^= t << J;
+            *y ^= t;
         }
-        j >>= 1;
-        mask ^= mask << j;
     }
 }
 
@@ -96,9 +89,6 @@ mod tests {
             let mut got = case;
             transpose64(&mut got);
             assert_eq!(got, naive_transpose(&case));
-            let mut scalar = case;
-            transpose64_scalar(&mut scalar);
-            assert_eq!(got, scalar, "routed and scalar paths must agree");
         }
     }
 

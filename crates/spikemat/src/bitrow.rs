@@ -133,7 +133,7 @@ impl BitRow {
     /// This is the popcount computed by the Detector's popcount units and
     /// used as the sort key for temporal-information generation.
     pub fn popcount(&self) -> usize {
-        crate::simd::popcount(&self.limbs) as usize
+        self.limbs.iter().map(|l| l.count_ones() as usize).sum()
     }
 
     /// Returns `true` if the row contains no spikes.
@@ -155,7 +155,7 @@ impl BitRow {
     /// Panics if lengths differ.
     pub fn is_subset_of(&self, other: &Self) -> bool {
         self.check_len(other);
-        crate::simd::subset_all(&self.limbs, &other.limbs)
+        self.subset_query(&other.limbs)
     }
 
     /// Returns `true` if the rows are a *proper* subset pair (Partial Match).
@@ -176,7 +176,7 @@ impl BitRow {
     #[inline]
     pub fn subset_query(&self, query: &[u64]) -> bool {
         debug_assert_eq!(self.limbs.len(), query.len(), "limb count mismatch");
-        crate::simd::subset_all(&self.limbs, query)
+        self.limbs.iter().zip(query).all(|(&a, &b)| a & !b == 0)
     }
 
     /// Bitwise XOR, producing the ProSparsity pattern `S_q − S_p` when

@@ -17,12 +17,10 @@
 //! * [`gemm`] — dense, bit-sparse, and operation-counting reference kernels
 //!   used as ground truth by every other crate.
 //! * [`im2col`] — lowering of spiking convolution onto spiking GeMM.
-//! * [`simd`] — runtime-dispatched AVX2 limb kernels (popcount, subset,
-//!   superset-intersect, transpose rounds) behind the `simd` cargo
-//!   feature, with the portable scalar code kept as the property-tested
-//!   oracle.
+//! * [`bitops`] — the 64×64 block bit-transpose the planner gathers
+//!   column masks with.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -32,7 +30,6 @@ mod error;
 pub mod gemm;
 pub mod im2col;
 mod matrix;
-pub mod simd;
 mod tile;
 
 pub use bitrow::BitRow;
