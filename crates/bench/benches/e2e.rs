@@ -1,4 +1,4 @@
-//! End-to-end trace execution benchmark: the reusable [`Engine`] (tile plan
+//! End-to-end trace execution benchmark: the reusable [`Session`] (tile plan
 //! cache + scratch reuse + buffer pooling) against the naive loop that calls
 //! [`prosparsity_gemm`] once per layer/timestep, re-planning and
 //! re-allocating everything each time.
@@ -28,7 +28,7 @@
 
 use prosperity_bench::time_ms;
 use prosperity_core::attention::{lower_keys, spiking_qk, spiking_qk_prelowered, spiking_qk_with};
-use prosperity_core::engine::{AdmissionConfig, Engine, EngineConfig, EngineStats};
+use prosperity_core::engine::{AdmissionConfig, EngineConfig, EngineStats, Session};
 use prosperity_core::exec::prosparsity_gemm;
 use prosperity_models::tracegen::{TraceGen, TraceGenParams};
 use prosperity_models::Workload;
@@ -76,7 +76,7 @@ fn correlated_trace(smoke: bool, reps: usize) -> ScenarioOut {
 
     // Correctness gate + stats capture: a fresh engine must reproduce the
     // naive loop bit-for-bit on every timestep.
-    let mut engine = Engine::new(config);
+    let mut engine = Session::new(config);
     let mut out = OutputMatrix::zeros(0, 0);
     for s in &spikes {
         engine.gemm_into(s, &weights, &mut out);
@@ -95,7 +95,7 @@ fn correlated_trace(smoke: bool, reps: usize) -> ScenarioOut {
     // Fresh engine per rep: the measurement includes the cold first
     // timestep and the warm remainder — the whole trace, end to end.
     let engine_ms = time_ms(reps, || {
-        let mut e = Engine::new(config);
+        let mut e = Session::new(config);
         let mut o = OutputMatrix::zeros(0, 0);
         for s in &spikes {
             e.gemm_into(s, &weights, &mut o);
@@ -103,7 +103,7 @@ fn correlated_trace(smoke: bool, reps: usize) -> ScenarioOut {
         o.as_slice().first().copied().unwrap_or(0)
     });
     let engine_serial_ms = time_ms(reps, || {
-        let mut e = Engine::new(config);
+        let mut e = Session::new(config);
         let mut o = OutputMatrix::zeros(0, 0);
         for s in &spikes {
             e.gemm_into_serial(s, &weights, &mut o);
@@ -137,7 +137,7 @@ fn fig8_trace(smoke: bool, reps: usize) -> ScenarioOut {
     // bookkeeping for reuse that never materializes (the former 0.9x row).
     let config = EngineConfig::new(tile, 2048).with_admission(AdmissionConfig::default());
 
-    let mut engine = Engine::new(config);
+    let mut engine = Session::new(config);
     let mut out = OutputMatrix::zeros(0, 0);
     for (layer, w) in trace.layers.iter().zip(&weights) {
         engine.gemm_into(&layer.spikes, w, &mut out);
@@ -159,7 +159,7 @@ fn fig8_trace(smoke: bool, reps: usize) -> ScenarioOut {
         acc
     });
     let engine_ms = time_ms(reps, || {
-        let mut e = Engine::new(config);
+        let mut e = Session::new(config);
         let mut o = OutputMatrix::zeros(0, 0);
         for (layer, w) in trace.layers.iter().zip(&weights) {
             e.gemm_into(&layer.spikes, w, &mut o);
@@ -167,7 +167,7 @@ fn fig8_trace(smoke: bool, reps: usize) -> ScenarioOut {
         o.as_slice().first().copied().unwrap_or(0)
     });
     let engine_serial_ms = time_ms(reps, || {
-        let mut e = Engine::new(config);
+        let mut e = Session::new(config);
         let mut o = OutputMatrix::zeros(0, 0);
         for (layer, w) in trace.layers.iter().zip(&weights) {
             e.gemm_into_serial(&layer.spikes, w, &mut o);
@@ -195,7 +195,7 @@ fn attention_stream(smoke: bool, reps: usize) -> ScenarioOut {
     let keys = SpikeMatrix::random(64, d, 0.2, &mut rng);
     let config = EngineConfig::new(tile, 2048);
 
-    let mut engine = Engine::new(config);
+    let mut engine = Session::new(config);
     let mut out = OutputMatrix::zeros(0, 0);
     for q in &queries {
         spiking_qk_with(&mut engine, q, &keys, &mut out);
@@ -203,7 +203,7 @@ fn attention_stream(smoke: bool, reps: usize) -> ScenarioOut {
     }
     let stats = engine.stats();
 
-    // Naive serving style: per-call lowering, per-call planning. Engine
+    // Naive serving style: per-call lowering, per-call planning. Session
     // serving style: keys lowered once, scores through the plan cache.
     let naive_ms = time_ms(reps, || {
         let mut acc = 0i64;
@@ -215,7 +215,7 @@ fn attention_stream(smoke: bool, reps: usize) -> ScenarioOut {
     });
     let kt_weights = lower_keys(&keys);
     let engine_ms = time_ms(reps, || {
-        let mut e = Engine::new(config);
+        let mut e = Session::new(config);
         let mut o = OutputMatrix::zeros(0, 0);
         for q in &queries {
             spiking_qk_prelowered(&mut e, q, &kt_weights, &mut o);
@@ -223,7 +223,7 @@ fn attention_stream(smoke: bool, reps: usize) -> ScenarioOut {
         o.as_slice().first().copied().unwrap_or(0)
     });
     let engine_serial_ms = time_ms(reps, || {
-        let mut e = Engine::new(config);
+        let mut e = Session::new(config);
         let mut o = OutputMatrix::zeros(0, 0);
         for q in &queries {
             e.gemm_into_serial(q, &kt_weights, &mut o);

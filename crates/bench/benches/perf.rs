@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use prosperity_bench::time_ms;
-use prosperity_core::engine::{Engine, EngineConfig, PlanSnapshot};
+use prosperity_core::engine::{EngineConfig, PlanSnapshot, Session};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
@@ -83,7 +83,7 @@ fn main() {
 
     // --- Steady-state serving steps under the counting allocator.
     let mut rng = StdRng::seed_from_u64(0xA110C);
-    let mut engine = Engine::<i64>::new(EngineConfig::new(TileShape::new(64, 64), 256));
+    let mut engine = Session::<i64>::new(EngineConfig::new(TileShape::new(64, 64), 256));
     let weights = WeightMatrix::from_fn(192, 32, |r, c| (r * 7 + c) as i64 - 100);
     let inputs: Vec<SpikeMatrix> = (0..4)
         .map(|_| SpikeMatrix::random(128, 192, 0.2, &mut rng))

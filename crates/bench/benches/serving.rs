@@ -73,7 +73,7 @@
 
 use prosperity_bench::time_ms;
 use prosperity_core::engine::{
-    AdmissionConfig, BatchPolicy, BatchScheduler, Engine, EngineConfig, EngineStats, FleetHarness,
+    AdmissionConfig, BatchPolicy, BatchScheduler, EngineConfig, EngineStats, FleetHarness,
     PlanSnapshot, ServiceConfig, ServingLoop, Session, SharedCacheStats, SharedPlanCache,
     SnapshotStore, TraceStep,
 };
@@ -153,7 +153,7 @@ fn oracle(case: &TenantCase, config: EngineConfig) -> Vec<Vec<OutputMatrix<i64>>
         .iter()
         .zip(&case.weights)
         .map(|(stream, w)| {
-            let mut engine = Engine::new(config);
+            let mut engine = Session::new(config);
             stream
                 .iter()
                 .map(|s| {
@@ -187,7 +187,7 @@ fn shared_vs_private(tenants: usize, smoke: bool, reps: usize) -> ServingOut {
     // Private baseline stats (fresh engines, same aggregate work).
     let mut private_merged = EngineStats::default();
     for (stream, w) in case.streams.iter().zip(&case.weights) {
-        let mut e = Engine::new(config);
+        let mut e = Session::new(config);
         let mut o = OutputMatrix::zeros(0, 0);
         for s in stream {
             e.gemm_into(s, w, &mut o);
@@ -200,7 +200,7 @@ fn shared_vs_private(tenants: usize, smoke: bool, reps: usize) -> ServingOut {
     let private_ms = time_ms(reps, || {
         let mut acc = 0i64;
         for (stream, w) in case.streams.iter().zip(&case.weights) {
-            let mut e = Engine::new(config);
+            let mut e = Session::new(config);
             let mut o = OutputMatrix::zeros(0, 0);
             for s in stream {
                 e.gemm_into(s, w, &mut o);
@@ -260,8 +260,8 @@ fn fig8_admission(smoke: bool, reps: usize) -> AdmissionOut {
     let on = off.with_admission(AdmissionConfig::default());
 
     // Correctness gate: admission decisions cannot change results.
-    let mut e_off = Engine::new(off);
-    let mut e_on = Engine::new(on);
+    let mut e_off = Session::new(off);
+    let mut e_on = Session::new(on);
     let mut a = OutputMatrix::zeros(0, 0);
     let mut b = OutputMatrix::zeros(0, 0);
     for (layer, w) in trace.layers.iter().zip(&weights) {
@@ -272,7 +272,7 @@ fn fig8_admission(smoke: bool, reps: usize) -> AdmissionOut {
     let (stats_off, stats_on) = (e_off.stats(), e_on.stats());
 
     let run = |config: EngineConfig| {
-        let mut e = Engine::new(config);
+        let mut e = Session::new(config);
         let mut o = OutputMatrix::zeros(0, 0);
         for (layer, w) in trace.layers.iter().zip(&weights) {
             e.gemm_into(&layer.spikes, w, &mut o);
@@ -346,7 +346,7 @@ fn warm_start(smoke: bool, reps: usize) -> WarmStartOut {
         }
         (curve, outs)
     };
-    let mut cold = Engine::new(config);
+    let mut cold = Session::new(config);
     let (cold_curve, want) = curve_of(&mut cold, None);
     let stats_cold = cold.stats();
 
@@ -377,7 +377,7 @@ fn warm_start(smoke: bool, reps: usize) -> WarmStartOut {
         acc
     };
     let cold_ms = time_ms(reps, || {
-        let mut engine = Engine::new(config);
+        let mut engine = Session::new(config);
         serve(&mut engine)
     });
     let warm_ms = time_ms(reps, || {
@@ -757,7 +757,7 @@ fn fleet(smoke: bool, reps: usize) -> FleetOut {
 
     // Serial private-cache oracle for the joiner's stream (the bit gate).
     let want: Vec<OutputMatrix<i64>> = {
-        let mut engine = Engine::new(config);
+        let mut engine = Session::new(config);
         streams[2]
             .iter()
             .map(|s| {
@@ -950,7 +950,7 @@ fn preemption(smoke: bool, reps: usize) -> PreemptionOut {
     // Correctness gate: whole-GeMM and sliced dispatch are bit-identical
     // to the serial private-cache oracle at every swept quantum.
     let want = {
-        let mut engine = Engine::new(config);
+        let mut engine = Session::new(config);
         let mut want_monster = OutputMatrix::zeros(0, 0);
         engine.gemm_into_serial(&monster, &w, &mut want_monster);
         let mut want_small = OutputMatrix::zeros(0, 0);

@@ -6,7 +6,7 @@
 //! treating one binary operand as a 0/1 integer weight matrix — which is why
 //! Prosperity supports spiking transformers that prior SNN ASICs cannot.
 
-use crate::engine::Engine;
+use crate::engine::Session;
 use crate::exec::prosparsity_gemm;
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::{SpikeMatrix, TileShape};
@@ -51,7 +51,7 @@ pub fn lower_keys(k: &SpikeMatrix) -> WeightMatrix<i64> {
     spikes_as_weights(&k.transpose())
 }
 
-/// [`spiking_qk`] through a reusable [`Engine`]: the score GeMM goes via the
+/// [`spiking_qk`] through a reusable [`Session`]: the score GeMM goes via the
 /// tile plan cache and pooled output buffer, so repeated attention heads and
 /// timesteps (whose query tiles are temporally correlated) skip re-planning.
 /// The tile geometry comes from the engine's configuration.
@@ -65,7 +65,7 @@ pub fn lower_keys(k: &SpikeMatrix) -> WeightMatrix<i64> {
 ///
 /// Panics if the head dimensions of `q` and `k` differ.
 pub fn spiking_qk_with(
-    engine: &mut Engine<i64>,
+    engine: &mut Session<i64>,
     q: &SpikeMatrix,
     k: &SpikeMatrix,
     out: &mut OutputMatrix<i64>,
@@ -77,7 +77,7 @@ pub fn spiking_qk_with(
 /// [`spiking_qk_with`] with keys already lowered by [`lower_keys`] — the
 /// zero-steady-state-allocation attention path for constant-key streams.
 pub fn spiking_qk_prelowered(
-    engine: &mut Engine<i64>,
+    engine: &mut Session<i64>,
     q: &SpikeMatrix,
     kt_weights: &WeightMatrix<i64>,
     out: &mut OutputMatrix<i64>,
@@ -85,11 +85,11 @@ pub fn spiking_qk_prelowered(
     engine.gemm_into(q, kt_weights, out);
 }
 
-/// [`spiking_av`] through a reusable [`Engine`] (cached plans + pooled
+/// [`spiking_av`] through a reusable [`Session`] (cached plans + pooled
 /// output); binary attention maps across timesteps are highly repetitive,
 /// which is exactly what the tile cache exploits.
 pub fn spiking_av_with(
-    engine: &mut Engine<i64>,
+    engine: &mut Session<i64>,
     attn: &SpikeMatrix,
     values: &WeightMatrix<i64>,
     out: &mut OutputMatrix<i64>,
@@ -163,7 +163,7 @@ mod tests {
         let q = q_matrix();
         let k = k_matrix();
         let tile = TileShape::new(2, 2);
-        let mut engine = Engine::new(EngineConfig::new(tile, 32));
+        let mut engine = Session::new(EngineConfig::new(tile, 32));
         let mut scores = OutputMatrix::zeros(0, 0);
         spiking_qk_with(&mut engine, &q, &k, &mut scores);
         assert_eq!(scores, spiking_qk(&q, &k, tile));

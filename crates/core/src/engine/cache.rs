@@ -1,8 +1,9 @@
-//! Content-addressed plan caching: the per-session LRU and the adaptive
-//! admission policy that stops uncorrelated streams from paying
-//! cache-bookkeeping costs for reuse that never materializes. The sharded
-//! concurrent cache many sessions hit together builds on this in
-//! [`super::shared`].
+//! Content-addressed plan caching: the LRU each cache shard holds and the
+//! adaptive admission policy that stops uncorrelated streams from paying
+//! cache-bookkeeping costs for reuse that never materializes. Sessions plan
+//! through [`super::shared::SharedPlanCache`], which locks one LRU per
+//! shard and keeps one admission window per tenant; a session's own cache
+//! is a one-shard instance of it.
 //!
 //! Plans are keyed by tile *content*, never by position. A key is one flat
 //! `&[u64]`: the tile's row-major limbs, as
@@ -11,10 +12,10 @@
 //! so a cache hit never builds a tile. `hash_limbs` selects a bucket and
 //! one slice comparison resolves it, so a hash collision can never
 //! substitute a wrong plan. Because [`TileMeta`] construction is a pure
-//! function of the tile bits, a plan served from any cache — private or
-//! shared, inserted by any session — is value-identical to the plan the
-//! session would have built itself. That is what makes shared caching
-//! bit-exact by construction.
+//! function of the tile bits, a plan served from any cache, inserted by
+//! any session, is value-identical to the plan the session would have
+//! built itself. That is what makes shared caching bit-exact by
+//! construction.
 
 use crate::plan::TileMeta;
 use serde::{Deserialize, Serialize};
@@ -118,8 +119,7 @@ impl Default for AdmissionConfig {
 
 /// Sliding-window hit-rate admission state.
 ///
-/// One instance tracks one *stream*: a private cache owns one for its
-/// session, and the shared cache keys one per tenant
+/// One instance tracks one *stream*: the shared cache keys one per tenant
 /// ([`super::shared::SharedPlanCache`]) so a hot tenant's hits cannot hold
 /// admission open for a cold tenant sharing the cache (and a cold tenant's
 /// misses cannot close it for a hot one).
@@ -186,7 +186,7 @@ pub(crate) enum InsertOutcome {
     /// Skipped by the admission policy (or a zero-capacity cache).
     Bypassed,
     /// Dropped because a racing session inserted the same tile first; the
-    /// resident plan was returned instead (shared cache only).
+    /// resident plan was returned instead.
     Deduplicated,
 }
 
@@ -213,8 +213,9 @@ struct Slot {
 /// Content-addressed LRU of tile plans: a slab of slots threaded on an
 /// intrusive doubly-linked recency list, indexed by a hash → slot multimap
 /// (the per-hash `Vec` absorbs collisions). All operations are O(1)
-/// amortized. One instance backs a private session cache; a
-/// [`SharedPlanCache`] holds one per shard behind a lock.
+/// amortized. A [`SharedPlanCache`](super::shared::SharedPlanCache) holds
+/// one per shard behind a lock; admission lives there, per tenant, not
+/// here.
 #[derive(Debug)]
 pub(crate) struct PlanCache {
     capacity: usize,
@@ -226,13 +227,12 @@ pub(crate) struct PlanCache {
     /// Shared empty meta parked in freed slots so evicted payloads drop
     /// immediately instead of lingering until slot reuse.
     placeholder: Arc<TileMeta>,
-    admission: Option<Admission>,
     /// Resident entries that came from a snapshot import.
     restored_resident: usize,
 }
 
 impl PlanCache {
-    pub(crate) fn new(capacity: usize, admission: Option<AdmissionConfig>) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self {
             capacity,
             map: HashMap::default(),
@@ -241,7 +241,6 @@ impl PlanCache {
             head: NIL,
             tail: NIL,
             placeholder: Arc::new(TileMeta::default()),
-            admission: admission.map(Admission::new),
             restored_resident: 0,
         }
     }
@@ -266,27 +265,9 @@ impl PlanCache {
     }
 
     /// Looks up the plan for the tile with this key (and its
-    /// [`hash_limbs`]), refreshing its recency and feeding the admission
-    /// estimator on both outcomes. A hit reports whether the serving entry
-    /// was snapshot-restored.
+    /// [`hash_limbs`]), refreshing its recency and per-slot hit count. A
+    /// hit reports whether the serving entry was snapshot-restored.
     pub(crate) fn lookup(&mut self, hash: u64, key: &[u64]) -> Option<(Arc<TileMeta>, bool)> {
-        let got = self.touch(hash, key);
-        if let Some(a) = &mut self.admission {
-            a.record(got.is_some());
-        }
-        got
-    }
-
-    /// [`PlanCache::lookup`] without touching the admission window — the
-    /// shared cache's insert-time dedup check, which must not count as a
-    /// second lookup for the miss it is resolving.
-    pub(crate) fn get(&mut self, hash: u64, key: &[u64]) -> Option<Arc<TileMeta>> {
-        self.touch(hash, key).map(|(meta, _)| meta)
-    }
-
-    /// Resolves a resident entry: recency refresh + per-slot hit count, no
-    /// admission side effects.
-    fn touch(&mut self, hash: u64, key: &[u64]) -> Option<(Arc<TileMeta>, bool)> {
         let idx = self.find(hash, key)?;
         self.unlink(idx);
         self.push_front(idx);
@@ -296,7 +277,7 @@ impl PlanCache {
     }
 
     /// Whether a plan for this key is resident, without touching recency
-    /// or the admission window (snapshot import's duplicate check).
+    /// (snapshot import's duplicate check).
     pub(crate) fn peek(&self, hash: u64, key: &[u64]) -> bool {
         self.find(hash, key).is_some()
     }
@@ -309,17 +290,12 @@ impl PlanCache {
             .find(|&i| *self.slots[i as usize].limbs == *key)
     }
 
-    /// Offers a freshly planned tile. Consults the admission policy; on
-    /// admission, stores a copy of the key and the meta, evicting the LRU
-    /// entry if full.
+    /// Stores a freshly planned tile (a copy of the key and the meta),
+    /// evicting the LRU entry if full. The caller has already consulted
+    /// admission.
     pub(crate) fn insert(&mut self, hash: u64, key: &[u64], meta: Arc<TileMeta>) -> InsertOutcome {
         if self.capacity == 0 {
             return InsertOutcome::Bypassed;
-        }
-        if let Some(a) = &mut self.admission {
-            if !a.should_insert() {
-                return InsertOutcome::Bypassed;
-            }
         }
         let outcome = if self.len() >= self.capacity {
             self.evict_lru();
@@ -434,10 +410,9 @@ impl PlanCache {
 
     /// Restores snapshot entries (given hottest-first) into this cache.
     ///
-    /// Import is a *restore*, not traffic: it never consults or feeds the
-    /// admission estimator, and it never evicts live entries — when the
-    /// snapshot holds more plans than the cache has room for, the coldest
-    /// surplus is dropped (partial restore). Entries land with their
+    /// Import is a *restore*, not traffic: it never evicts live entries —
+    /// when the snapshot holds more plans than the cache has room for, the
+    /// coldest surplus is dropped (partial restore). Entries land with their
     /// exported hit counts, marked restored, and in snapshot recency order
     /// (the snapshot's hottest entry becomes this cache's MRU).
     pub(crate) fn import(&mut self, entries: Vec<SnapshotEntry>) -> ImportReport {

@@ -1,7 +1,9 @@
 //! Unit tests (kept beside the module, out of its main file).
 
+use super::super::shared::SharedPlanCache;
 use super::*;
 use spikemat::SpikeMatrix;
+use std::sync::Mutex;
 
 fn tile_of(rows: &[&[u8]]) -> SpikeMatrix {
     SpikeMatrix::from_rows_of_bits(rows)
@@ -12,6 +14,14 @@ fn key_of(tile: &SpikeMatrix) -> Vec<u64> {
     let mut key = Vec::new();
     tile.tile_key_into(0, 0, tile.rows(), tile.cols(), &mut key);
     key
+}
+
+/// A fresh admission window, built the one way the crate builds them: as a
+/// tenant's handle in a shared cache's admission table.
+fn window(cfg: AdmissionConfig) -> Arc<Mutex<Admission>> {
+    SharedPlanCache::with_shards(0, 1, Some(cfg))
+        .admission_handle(0)
+        .expect("admission configured")
 }
 
 /// Fixed, non-trivial limbs for the golden hash values.
@@ -51,7 +61,7 @@ fn hash_collisions_cannot_alias_plans() {
     let kz = key_of(&SpikeMatrix::zeros(2, 2));
     let m1 = Arc::new(TileMeta::build(&t1, 0, 0));
     let m2 = Arc::new(TileMeta::build(&t2, 0, 0));
-    let mut cache = PlanCache::new(8, None);
+    let mut cache = PlanCache::new(8);
     cache.insert(42, &k1, Arc::clone(&m1));
     cache.insert(42, &k2, Arc::clone(&m2)); // same hash, different bits
     let (got1, restored1) = cache.lookup(42, &k1).expect("t1 resident");
@@ -69,7 +79,7 @@ fn lru_evicts_oldest() {
     let keys: Vec<Vec<u64>> = (0..3u8)
         .map(|i| key_of(&tile_of(&[&[i & 1, (i >> 1) & 1, 1]])))
         .collect();
-    let mut cache = PlanCache::new(2, None);
+    let mut cache = PlanCache::new(2);
     for k in &keys {
         let meta = Arc::new(TileMeta::default());
         cache.insert(hash_limbs(k), k, meta);
@@ -88,7 +98,8 @@ fn admission_closes_on_cold_stream_and_probes() {
         min_hit_permille: 500,
         probe_period: 3,
     };
-    let mut a = Admission::new(cfg);
+    let a = window(cfg);
+    let mut a = a.lock().unwrap();
     // First window: open regardless.
     assert!(a.should_insert());
     for _ in 0..4 {
@@ -108,36 +119,13 @@ fn admission_closes_on_cold_stream_and_probes() {
 
 #[test]
 fn zero_probe_period_never_probes() {
-    let mut a = Admission::new(AdmissionConfig {
+    let a = window(AdmissionConfig {
         window: 2,
         min_hit_permille: 1000,
         probe_period: 0,
     });
+    let mut a = a.lock().unwrap();
     a.record(false);
     a.record(false);
     assert!((0..10).all(|_| !a.should_insert()));
-}
-
-#[test]
-fn cache_bypasses_insertions_once_closed() {
-    let cfg = AdmissionConfig {
-        window: 2,
-        min_hit_permille: 500,
-        probe_period: 0,
-    };
-    let mut cache = PlanCache::new(16, Some(cfg));
-    let mut outcomes = Vec::new();
-    for i in 0..6u8 {
-        let t = tile_of(&[&[1, i & 1, (i >> 1) & 1, (i >> 2) & 1]]);
-        let k = key_of(&t);
-        let h = hash_limbs(&k);
-        assert!(cache.lookup(h, &k).is_none());
-        outcomes.push(cache.insert(h, &k, Arc::new(TileMeta::build(&t, 0, 0))));
-    }
-    // The window rolls during the lookup that completes it, so the
-    // second miss of the all-miss window is already bypassed; only the
-    // first insertion lands.
-    assert_eq!(outcomes[0], InsertOutcome::Inserted);
-    assert!(outcomes[1..].iter().all(|&o| o == InsertOutcome::Bypassed));
-    assert_eq!(cache.len(), 1);
 }

@@ -3,12 +3,12 @@
 //!
 //! | module | layer |
 //! |---|---|
-//! | [`cache`] | content-addressed plan LRU + adaptive admission |
+//! | [`cache`] | the per-shard content-addressed plan LRU + the adaptive admission estimator |
 //! | [`shared`] | the sharded concurrent [`SharedPlanCache`], per-tenant admission |
 //! | [`snapshot`] | [`PlanSnapshot`]: persist hot plans across restarts (atomic writes) |
 //! | [`store`] | [`SnapshotStore`]: retained, checksum-verified snapshot directory with corrupt-file quarantine |
 //! | `pool` | recycled executor buffers (internal) |
-//! | [`session`] | one stream's state: [`Session`] (= the historical [`Engine`]) |
+//! | [`session`] | one stream's state: [`Session`], planning through its own one-shard [`SharedPlanCache`], a shared one, or none |
 //! | [`batch`] | [`BatchScheduler`] interleaving many traces over one shared cache (QoS policies, lane quarantine) |
 //! | [`service`] | [`ServingLoop`]: background snapshot export + admission GC cadences |
 //! | [`stats`] | mergeable per-session counters + shared-cache/scheduler aggregates |
@@ -97,7 +97,7 @@ pub use batch::{BatchPolicy, BatchScheduler, LaneFault, TraceStep, DEADLINE_STAR
 pub use cache::AdmissionConfig;
 pub use fleet::{FleetHarness, Ring};
 pub use service::{ServiceConfig, ServingLoop};
-pub use session::{Engine, Session, SliceRun};
+pub use session::{Session, SliceRun};
 pub use shared::SharedPlanCache;
 pub use snapshot::{ImportReport, PlanSnapshot, SnapshotError};
 pub use stats::{EngineStats, SchedulerStats, SharedCacheStats};
@@ -147,8 +147,7 @@ impl EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// The paper's default tile geometry with a 1024-plan cache (roughly
-    /// 25 MB of meta information at the default 256×16 tile).
+    /// The paper's default tile geometry with a 1024-plan cache.
     fn default() -> Self {
         Self::new(TileShape::prosperity_default(), 1024)
     }

@@ -8,10 +8,10 @@ use crate::plan::{build_tile_meta, PlanScratch, TileMeta};
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::SpikeMatrix;
 
-use super::cache::{hash_limbs, Admission, InsertOutcome, PlanCache};
+use super::cache::{hash_limbs, Admission, InsertOutcome};
 use super::pool::BufferPool;
 use super::shared::SharedPlanCache;
-use super::snapshot::{ImportReport, PlanSnapshot, SnapshotEntry};
+use super::snapshot::{ImportReport, PlanSnapshot};
 use super::stats::EngineStats;
 use super::{Element, EngineConfig};
 use std::sync::Mutex;
@@ -56,17 +56,6 @@ struct StepCursor {
     row_tiles: usize,
     /// Whether a sliced GeMM is in flight (planned but not fully executed).
     active: bool,
-}
-
-/// The session's plan-cache backend.
-#[derive(Debug)]
-enum CacheSlot {
-    /// Caching disabled (`cache_capacity == 0`): every tile is planned.
-    Off,
-    /// A session-private LRU.
-    Private(PlanCache),
-    /// A handle onto a concurrent cache shared with other sessions.
-    Shared(Arc<SharedPlanCache>),
 }
 
 /// Cached geometry of the last [`Session::forward_chain`] call: the
@@ -136,28 +125,27 @@ impl ChainLayout {
 /// [`BatchScheduler`](super::BatchScheduler).
 ///
 /// ```
-/// use prosperity_core::engine::Engine;
+/// use prosperity_core::engine::Session;
 /// use spikemat::gemm::{spiking_gemm, OutputMatrix, WeightMatrix};
 /// use spikemat::SpikeMatrix;
 ///
-/// let mut engine = Engine::<i64>::default();
+/// let mut session = Session::<i64>::default();
 /// let spikes = SpikeMatrix::from_rows_of_bits(&[&[1, 0, 1], &[1, 0, 1]]);
 /// let weights = WeightMatrix::from_fn(3, 2, |r, c| (r + c) as i64);
 /// let mut out = OutputMatrix::zeros(0, 0);
-/// engine.gemm_into(&spikes, &weights, &mut out);
+/// session.gemm_into(&spikes, &weights, &mut out);
 /// assert_eq!(out, spiking_gemm(&spikes, &weights));
 /// ```
 #[derive(Debug)]
 pub struct Session<T = i64> {
     config: EngineConfig,
-    cache: CacheSlot,
-    /// Which tenant's admission window this session's shared-cache traffic
-    /// feeds (ignored by private/disabled backends — a private cache is
-    /// single-tenant by definition).
+    /// The plan cache; `None` when caching is off (every tile is planned).
+    cache: Option<Arc<SharedPlanCache>>,
+    /// Which tenant's admission window this session's cache traffic feeds.
     tenant: u64,
-    /// The tenant's shared admission window, resolved once at construction
-    /// so the per-tile hot path locks only this window, never a registry.
-    shared_admission: Option<Arc<Mutex<Admission>>>,
+    /// The tenant's admission window, resolved once at construction so the
+    /// per-tile hot path locks only this window, never a registry.
+    admission: Option<Arc<Mutex<Admission>>>,
     plan_scratch: PlanScratch,
     /// Scratch flat key (the tile's row-major limbs) every lookup hashes
     /// and verifies, and every miss is planned from.
@@ -179,12 +167,6 @@ pub struct Session<T = i64> {
     stats: EngineStats,
 }
 
-/// The historical name of [`Session`]: PR 2 introduced the engine as a
-/// single-stream type; the serving refactor split it into the
-/// `engine::{cache, shared, pool, session, batch, stats}` tree and `Engine` now
-/// aliases the session layer.
-pub type Engine<T = i64> = Session<T>;
-
 impl<T: Element> Default for Session<T> {
     fn default() -> Self {
         Self::new(EngineConfig::default())
@@ -192,15 +174,20 @@ impl<T: Element> Default for Session<T> {
 }
 
 impl<T: Element> Session<T> {
-    /// Creates a session with a private plan cache (or none when
-    /// `config.cache_capacity == 0`).
+    /// Creates a session with its own plan cache: a one-shard
+    /// [`SharedPlanCache`] of `config.cache_capacity` plans under
+    /// `config.admission`, planned through as tenant `0` (or no cache when
+    /// `config.cache_capacity == 0`). One shard keeps eviction a single
+    /// global LRU.
     pub fn new(config: EngineConfig) -> Self {
-        let cache = if config.cache_capacity == 0 {
-            CacheSlot::Off
-        } else {
-            CacheSlot::Private(PlanCache::new(config.cache_capacity, config.admission))
-        };
-        Self::build(config, cache)
+        let cache = (config.cache_capacity > 0).then(|| {
+            Arc::new(SharedPlanCache::with_shards(
+                config.cache_capacity,
+                1,
+                config.admission,
+            ))
+        });
+        Self::build(config, cache, 0)
     }
 
     /// Creates a session planning through a cache shared with other
@@ -232,14 +219,10 @@ impl<T: Element> Session<T> {
         shared: Arc<SharedPlanCache>,
         tenant: u64,
     ) -> Self {
-        let shared_admission = shared.admission_handle(tenant);
-        let mut session = Self::build(config, CacheSlot::Shared(shared));
-        session.tenant = tenant;
-        session.shared_admission = shared_admission;
-        session
+        Self::build(config, Some(shared), tenant)
     }
 
-    /// Creates a private-cache session pre-warmed from a snapshot, so the
+    /// Creates a [`Session::new`] session pre-warmed from a snapshot, so the
     /// first timesteps after a process restart hit instead of re-planning.
     /// Returns the session plus what the import did (a snapshot larger
     /// than the cache degrades to a partial restore of the hottest plans).
@@ -253,12 +236,12 @@ impl<T: Element> Session<T> {
         (session, report)
     }
 
-    fn build(config: EngineConfig, cache: CacheSlot) -> Self {
+    fn build(config: EngineConfig, cache: Option<Arc<SharedPlanCache>>, tenant: u64) -> Self {
         Self {
             config,
+            admission: cache.as_ref().and_then(|c| c.admission_handle(tenant)),
             cache,
-            tenant: 0,
-            shared_admission: None,
+            tenant,
             plan_scratch: PlanScratch::new(),
             key_buf: Vec::new(),
             tiles: Vec::new(),
@@ -278,32 +261,26 @@ impl<T: Element> Session<T> {
         &self.config
     }
 
-    /// The shared cache this session plans through, if any.
+    /// The cache this session plans through — its own or one shared with
+    /// other sessions — or `None` when caching is off.
     pub fn shared_cache(&self) -> Option<&Arc<SharedPlanCache>> {
-        match &self.cache {
-            CacheSlot::Shared(s) => Some(s),
-            _ => None,
-        }
+        self.cache.as_ref()
     }
 
-    /// The tenant id this session's shared-cache admission traffic is
-    /// keyed by (0 unless set via [`Session::with_shared_tenant`]).
+    /// The tenant id this session's cache admission traffic is keyed by
+    /// (0 unless set via [`Session::with_shared_tenant`]).
     pub fn tenant(&self) -> u64 {
         self.tenant
     }
 
     /// Exports the up-to-`n` hottest plans of this session's cache as a
     /// [`PlanSnapshot`] (for a shared cache: the whole fleet's hottest,
-    /// exported shard by shard without a global pause). An `Off` backend
-    /// exports an empty snapshot.
+    /// exported shard by shard without a global pause). With caching off
+    /// the snapshot is empty.
     pub fn export_snapshot(&self, n: usize) -> PlanSnapshot {
-        match &self.cache {
-            CacheSlot::Off => PlanSnapshot::default(),
-            CacheSlot::Private(c) => PlanSnapshot {
-                entries: c.export_hottest(n),
-            },
-            CacheSlot::Shared(s) => s.export_hottest(n),
-        }
+        self.cache
+            .as_ref()
+            .map_or_else(PlanSnapshot::default, |c| c.export_hottest(n))
     }
 
     /// Restores a snapshot's plans into this session's cache (see
@@ -313,31 +290,23 @@ impl<T: Element> Session<T> {
     /// does not match this session's `config.tile` are dropped as
     /// [`ImportReport::skipped_shape`] (a decoded snapshot is internally
     /// consistent, but only the importer knows the shape it serves). With
-    /// caching disabled the whole snapshot is reported as skipped.
+    /// caching off every matching entry is reported as skipped for
+    /// capacity.
     pub fn import_snapshot(&mut self, snapshot: &PlanSnapshot) -> ImportReport {
         let tile = self.config.tile;
-        match &mut self.cache {
-            CacheSlot::Off => ImportReport {
-                requested: snapshot.len(),
-                skipped_capacity: snapshot.len(),
-                ..ImportReport::default()
-            },
-            CacheSlot::Private(c) => {
-                let mut skipped_shape = 0;
-                let mut fit: Vec<SnapshotEntry> = Vec::with_capacity(snapshot.len());
-                for entry in &snapshot.entries {
-                    if entry.matches_shape(tile.m, tile.k) {
-                        fit.push(entry.clone());
-                    } else {
-                        skipped_shape += 1;
-                    }
-                }
-                let mut report = c.import(fit);
-                report.requested += skipped_shape;
-                report.skipped_shape = skipped_shape;
-                report
-            }
-            CacheSlot::Shared(s) => s.import(snapshot, tile),
+        if let Some(c) = &self.cache {
+            return c.import(snapshot, tile);
+        }
+        let skipped_shape = snapshot
+            .entries
+            .iter()
+            .filter(|e| !e.matches_shape(tile.m, tile.k))
+            .count();
+        ImportReport {
+            requested: snapshot.len(),
+            skipped_capacity: snapshot.len() - skipped_shape,
+            skipped_shape,
+            ..ImportReport::default()
         }
     }
 
@@ -355,20 +324,14 @@ impl<T: Element> Session<T> {
     /// Number of tile plans currently resident in this session's cache
     /// (for a shared cache: all sessions' plans).
     pub fn cached_plans(&self) -> usize {
-        match &self.cache {
-            CacheSlot::Off => 0,
-            CacheSlot::Private(c) => c.len(),
-            CacheSlot::Shared(s) => s.len(),
-        }
+        self.cache.as_ref().map_or(0, |c| c.len())
     }
 
     /// Drops every cached plan (capacity is unchanged). On a shared cache
     /// this clears the plans of *every* session sharing it.
     pub fn clear_cache(&mut self) {
-        match &mut self.cache {
-            CacheSlot::Off => {}
-            CacheSlot::Private(c) => c.clear(),
-            CacheSlot::Shared(s) => s.clear(),
+        if let Some(c) = &self.cache {
+            c.clear();
         }
     }
 
@@ -393,8 +356,8 @@ impl<T: Element> Session<T> {
     ///
     /// The tile's key is built straight from the spike rows; a lookup
     /// hashes and verifies it, and a miss (every tile when caching is off)
-    /// is planned from it, so no tile is extracted. For the shared backend,
-    /// planning happens *outside* the shard lock so concurrent sessions
+    /// is planned from it, so no tile is extracted. Planning happens
+    /// *outside* the shard lock so concurrent sessions sharing a cache
     /// overlap their Detector/Pruner work; the offer afterwards
     /// deduplicates racing planners (identical by construction — planning
     /// is a pure function of the tile bits).
@@ -409,57 +372,36 @@ impl<T: Element> Session<T> {
             cache,
             plan_scratch,
             key_buf,
-            shared_admission,
+            admission,
             stats,
             ..
         } = self;
         let shape = config.tile;
-        let admission = shared_admission.as_deref();
         spikes.tile_key_into(row_start, col_start, shape.m, shape.k, key_buf);
         let key: &[u64] = key_buf;
         let mut fresh = || Arc::new(build_tile_meta(key, shape.m, shape.k, plan_scratch).0);
-        match cache {
-            CacheSlot::Off => {
-                stats.cache_misses += 1;
-                fresh()
-            }
-            CacheSlot::Private(cache) => {
-                let hash = hash_limbs(key);
-                if let Some((meta, restored)) = cache.lookup(hash, key) {
-                    stats.cache_hits += 1;
-                    stats.restored_hits += u64::from(restored);
-                    return meta;
-                }
-                stats.cache_misses += 1;
-                let meta = fresh();
-                match cache.insert(hash, key, Arc::clone(&meta)) {
-                    InsertOutcome::Inserted => {}
-                    InsertOutcome::Evicted => stats.cache_evictions += 1,
-                    InsertOutcome::Bypassed => stats.cache_bypasses += 1,
-                    InsertOutcome::Deduplicated => unreachable!("private cache never dedups"),
-                }
-                meta
-            }
-            CacheSlot::Shared(shared) => {
-                let hash = hash_limbs(key);
-                if let Some((meta, restored)) = shared.lookup(hash, key, admission) {
-                    stats.cache_hits += 1;
-                    stats.restored_hits += u64::from(restored);
-                    return meta;
-                }
-                stats.cache_misses += 1;
-                let (meta, outcome) = shared.insert(hash, key, fresh(), admission);
-                match outcome {
-                    // Deduplicated: a racing session won the insert; the
-                    // resident plan is used and no admission bypass is
-                    // recorded (none happened).
-                    InsertOutcome::Inserted | InsertOutcome::Deduplicated => {}
-                    InsertOutcome::Evicted => stats.cache_evictions += 1,
-                    InsertOutcome::Bypassed => stats.cache_bypasses += 1,
-                }
-                meta
-            }
+        let Some(cache) = cache else {
+            stats.cache_misses += 1;
+            return fresh();
+        };
+        let admission = admission.as_deref();
+        let hash = hash_limbs(key);
+        if let Some((meta, restored)) = cache.lookup(hash, key, admission) {
+            stats.cache_hits += 1;
+            stats.restored_hits += u64::from(restored);
+            return meta;
         }
+        stats.cache_misses += 1;
+        let (meta, outcome) = cache.insert(hash, key, fresh(), admission);
+        match outcome {
+            // Deduplicated: a racing session won the insert; the resident
+            // plan is used and no admission bypass is recorded (none
+            // happened).
+            InsertOutcome::Inserted | InsertOutcome::Deduplicated => {}
+            InsertOutcome::Evicted => stats.cache_evictions += 1,
+            InsertOutcome::Bypassed => stats.cache_bypasses += 1,
+        }
+        meta
     }
 
     /// Executes one spiking GeMM into `out` (resized in place, so a reused

@@ -23,7 +23,7 @@ fn engine_matches_reference_across_random_cases() {
     for trial in 0..20 {
         let (s, w) = random_case(&mut rng);
         let tile = TileShape::new(rng.gen_range(1..=16), rng.gen_range(1..=16));
-        let mut engine = Engine::new(EngineConfig::new(tile, rng.gen_range(0..8)));
+        let mut engine = Session::new(EngineConfig::new(tile, rng.gen_range(0..8)));
         let mut out = OutputMatrix::zeros(0, 0);
         engine.gemm_into(&s, &w, &mut out);
         assert_eq!(out, spiking_gemm(&s, &w), "trial {trial}");
@@ -37,7 +37,7 @@ fn serial_and_parallel_paths_agree() {
     for _ in 0..10 {
         let (s, w) = random_case(&mut rng);
         let tile = TileShape::new(rng.gen_range(1..=12), rng.gen_range(1..=12));
-        let mut engine = Engine::new(EngineConfig::new(tile, 16));
+        let mut engine = Session::new(EngineConfig::new(tile, 16));
         let mut a = OutputMatrix::zeros(0, 0);
         let mut b = OutputMatrix::zeros(0, 0);
         engine.gemm_into(&s, &w, &mut a);
@@ -51,7 +51,7 @@ fn repeated_matrix_hits_cache_and_stays_lossless() {
     let mut rng = StdRng::seed_from_u64(13);
     let s = SpikeMatrix::random(64, 32, 0.3, &mut rng);
     let w = WeightMatrix::from_fn(32, 4, |r, c| (r * 7 + c) as i64 - 9);
-    let mut engine = Engine::new(EngineConfig::new(TileShape::new(16, 16), 64));
+    let mut engine = Session::new(EngineConfig::new(TileShape::new(16, 16), 64));
     let reference = spiking_gemm(&s, &w);
     let mut out = OutputMatrix::zeros(0, 0);
     engine.gemm_into(&s, &w, &mut out);
@@ -80,7 +80,7 @@ fn identical_tiles_within_one_matrix_share_a_plan() {
     let rows: Vec<&[u8]> = band.iter().chain(band.iter()).copied().collect();
     let s = SpikeMatrix::from_rows_of_bits(&rows);
     let w = WeightMatrix::from_fn(4, 3, |r, c| (r + 2 * c) as i64);
-    let mut engine = Engine::new(EngineConfig::new(TileShape::new(4, 4), 8));
+    let mut engine = Session::new(EngineConfig::new(TileShape::new(4, 4), 8));
     let mut out = OutputMatrix::zeros(0, 0);
     engine.gemm_into(&s, &w, &mut out);
     assert_eq!(out, spiking_gemm(&s, &w));
@@ -96,7 +96,7 @@ fn lru_evicts_oldest_and_result_stays_exact() {
     // Capacity 2 with 4 distinct tiles per GeMM → constant eviction.
     let s = SpikeMatrix::random(16, 16, 0.4, &mut rng);
     let w = WeightMatrix::from_fn(16, 3, |r, c| (r * 3 + c) as i64 - 20);
-    let mut engine = Engine::new(EngineConfig::new(TileShape::new(4, 16), 2));
+    let mut engine = Session::new(EngineConfig::new(TileShape::new(4, 16), 2));
     let reference = spiking_gemm(&s, &w);
     let mut out = OutputMatrix::zeros(0, 0);
     for _ in 0..3 {
@@ -113,7 +113,7 @@ fn zero_capacity_disables_cache() {
     let mut rng = StdRng::seed_from_u64(15);
     let s = SpikeMatrix::random(20, 10, 0.3, &mut rng);
     let w = WeightMatrix::from_fn(10, 2, |r, c| (r + c) as i64);
-    let mut engine = Engine::new(EngineConfig::new(TileShape::new(8, 8), 0));
+    let mut engine = Session::new(EngineConfig::new(TileShape::new(8, 8), 0));
     let mut out = OutputMatrix::zeros(0, 0);
     engine.gemm_into(&s, &w, &mut out);
     engine.gemm_into(&s, &w, &mut out);
@@ -161,7 +161,7 @@ fn admission_bypass_keeps_results_exact() {
             min_hit_permille: 100,
             probe_period: 8,
         });
-    let mut engine = Engine::new(config);
+    let mut engine = Session::new(config);
     let mut out = OutputMatrix::zeros(0, 0);
     for _ in 0..12 {
         let s = SpikeMatrix::random(24, 24, 0.5, &mut rng);
@@ -180,7 +180,7 @@ fn run_layers_recycles_one_output_buffer() {
     let mut rng = StdRng::seed_from_u64(17);
     let layers: Vec<(SpikeMatrix, WeightMatrix<i64>)> =
         (0..4).map(|_| random_case(&mut rng)).collect();
-    let mut engine = Engine::<i64>::default();
+    let mut engine = Session::<i64>::default();
     let mut seen = 0;
     engine.run_layers(layers.iter().map(|(s, w)| (s, w)), |i, out| {
         assert_eq!(out, &spiking_gemm(&layers[i].0, &layers[i].1));
@@ -201,7 +201,7 @@ fn forward_chain_matches_manual_loop() {
         .collect();
     let threshold = 2i64;
 
-    let mut engine = Engine::new(EngineConfig::new(TileShape::new(8, 8), 32));
+    let mut engine = Session::new(EngineConfig::new(TileShape::new(8, 8), 32));
     let mut got = SpikeMatrix::zeros(0, 0);
     engine.forward_chain(&input, &layers, threshold, &mut got);
 
@@ -225,7 +225,7 @@ fn forward_chain_matches_manual_loop() {
 #[test]
 #[should_panic(expected = "does not chain")]
 fn forward_chain_rejects_broken_adjacency() {
-    let mut engine = Engine::<i64>::default();
+    let mut engine = Session::<i64>::default();
     let input = SpikeMatrix::zeros(4, 8);
     let layers = vec![
         WeightMatrix::from_fn(8, 6, |_, _| 1i64),
@@ -238,7 +238,7 @@ fn forward_chain_rejects_broken_adjacency() {
 #[test]
 fn chain_layout_revalidates_on_geometry_change() {
     let mut rng = StdRng::seed_from_u64(19);
-    let mut engine = Engine::new(EngineConfig::new(TileShape::new(8, 8), 32));
+    let mut engine = Session::new(EngineConfig::new(TileShape::new(8, 8), 32));
     let mut got = SpikeMatrix::zeros(0, 0);
     for dims in [[10usize, 8, 6], [12usize, 5, 9]] {
         let input = SpikeMatrix::random(16, dims[0], 0.3, &mut rng);
@@ -260,7 +260,7 @@ fn chain_layout_revalidates_on_geometry_change() {
 
 #[test]
 fn empty_and_degenerate_shapes() {
-    let mut engine = Engine::<i64>::default();
+    let mut engine = Session::<i64>::default();
     let mut out = OutputMatrix::zeros(0, 0);
     // Zero output columns.
     let s = SpikeMatrix::random(5, 4, 0.5, &mut StdRng::seed_from_u64(1));
@@ -277,7 +277,7 @@ fn empty_and_degenerate_shapes() {
 #[test]
 #[should_panic(expected = "does not match weight rows")]
 fn shape_mismatch_panics() {
-    let mut engine = Engine::<i64>::default();
+    let mut engine = Session::<i64>::default();
     let s = SpikeMatrix::zeros(2, 3);
     let w = WeightMatrix::from_fn(4, 2, |_, _| 0i64);
     let mut out = OutputMatrix::zeros(0, 0);
@@ -293,7 +293,7 @@ fn gemm_into_refuses_to_resume_an_in_flight_slice() {
     let mut rng = StdRng::seed_from_u64(19);
     let s = SpikeMatrix::random(32, 8, 0.3, &mut rng);
     let w = WeightMatrix::from_fn(8, 4, |r, c| (r + c) as i64);
-    let mut engine = Engine::new(EngineConfig::new(TileShape::new(8, 8), 16));
+    let mut engine = Session::new(EngineConfig::new(TileShape::new(8, 8), 16));
     let mut out = OutputMatrix::zeros(0, 0);
     let run = engine.gemm_slice(&s, &w, &mut out, 1);
     assert!(!run.done, "quantum 1 leaves 3 of 4 row-tiles pending");
@@ -304,7 +304,9 @@ fn gemm_into_refuses_to_resume_an_in_flight_slice() {
 /// tail row-tile and a 6-column tail k-tile): every backend plans its
 /// misses from the lookup key, through `gemm_into`, `gemm_into_serial` and
 /// quantum-1 `gemm_slice`. Outputs are bit-identical to the dense
-/// reference and the cache counts are pinned per backend.
+/// reference and the cache counts are pinned per backend. A session's own
+/// cache and a one-shard shared cache (`recommended_shards(12)` is 1) end
+/// with byte-identical snapshots.
 #[test]
 fn default_tile_plans_from_the_key_under_every_backend() {
     let mut rng = StdRng::seed_from_u64(41);
@@ -337,6 +339,7 @@ fn default_tile_plans_from_the_key_under_every_backend() {
         ),
     ];
     let mut out = OutputMatrix::zeros(0, 0);
+    let mut exports = Vec::new();
     for (backend, mut session, expected) in sessions {
         for (step, s) in [&a, &a, &b, &a].into_iter().enumerate() {
             match step {
@@ -357,5 +360,30 @@ fn default_tile_plans_from_the_key_under_every_backend() {
             st.restored_hits,
         );
         assert_eq!(counts, expected, "{backend}");
+        exports.push(session.export_snapshot(12).encode());
     }
+    assert_eq!(exports[1], exports[2], "private and shared snapshots");
+}
+
+/// A session's own cache is a one-shard [`SharedPlanCache`], so a panic
+/// under its shard lock poisons it like any shared shard: the next call
+/// resets the shard and serves the exact result.
+#[test]
+fn own_cache_recovers_from_a_panic_under_its_shard_lock() {
+    use super::super::faults::{self, FaultPlan};
+    faults::silence_injected_panics();
+    let mut rng = StdRng::seed_from_u64(43);
+    let s = SpikeMatrix::random(32, 16, 0.3, &mut rng);
+    let w = WeightMatrix::from_fn(16, 4, |r, c| (r + 3 * c) as i64 - 20);
+    let mut session = Session::new(EngineConfig::new(TileShape::new(8, 8), 64));
+    let mut out = OutputMatrix::zeros(0, 0);
+    let guard = faults::install(FaultPlan::shard_panic(0));
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        session.gemm_into(&s, &w, &mut out);
+    }));
+    assert!(run.is_err(), "the first insert panics under the shard lock");
+    assert!(guard.fired().shard_panic);
+    session.gemm_into(&s, &w, &mut out);
+    assert_eq!(out, spiking_gemm(&s, &w));
+    assert_eq!(session.shared_cache().unwrap().stats().shard_resets, 1);
 }

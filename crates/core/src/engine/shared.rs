@@ -247,13 +247,6 @@ pub struct SharedPlanCache {
 }
 
 impl SharedPlanCache {
-    /// The historical fixed shard count. [`SharedPlanCache::new`] now
-    /// derives its shard count from the host and the capacity instead
-    /// ([`SharedPlanCache::recommended_shards`]); this constant remains
-    /// for callers that want the old layout via
-    /// [`SharedPlanCache::with_shards`].
-    pub const DEFAULT_SHARDS: usize = 8;
-
     /// Shard count ceiling for [`SharedPlanCache::recommended_shards`].
     const MAX_RECOMMENDED_SHARDS: usize = 64;
 
@@ -300,9 +293,7 @@ impl SharedPlanCache {
         let shards = (0..n)
             .map(|_| {
                 Mutex::new(Shard {
-                    // Admission lives in the per-tenant table, never in the
-                    // shard caches.
-                    cache: PlanCache::new(per_shard, None),
+                    cache: PlanCache::new(per_shard),
                     counters: ShardCounters::default(),
                 })
             })
@@ -614,7 +605,7 @@ impl SharedPlanCache {
         // `lookup`, so this probe feeds neither hit/miss counters nor
         // admission; the race is recorded as its own outcome so the ledger
         // stays balanced (insertions + bypasses + dedups == misses).
-        let result = if let Some(resident) = shard.cache.get(hash, key) {
+        let result = if let Some((resident, _)) = shard.cache.lookup(hash, key) {
             shard.counters.dedups += 1;
             (resident, InsertOutcome::Deduplicated)
         // Tenant admission, consulted only for a real (non-dedup) offer.

@@ -39,6 +39,32 @@ fn shared_cache_dedupes_racing_inserts() {
 }
 
 #[test]
+fn cache_bypasses_insertions_once_closed() {
+    let cfg = AdmissionConfig {
+        window: 2,
+        min_hit_permille: 500,
+        probe_period: 0,
+    };
+    let cache = SharedPlanCache::with_shards(16, 1, Some(cfg));
+    let admission = cache.admission_handle(0);
+    let admission = admission.as_deref();
+    let mut outcomes = Vec::new();
+    for i in 0..6u8 {
+        let t = tile_of(&[&[1, i & 1, (i >> 1) & 1, (i >> 2) & 1]]);
+        let (h, k) = keyed(&t);
+        assert!(cache.lookup(h, &k, admission).is_none());
+        let meta = Arc::new(TileMeta::build(&t, 0, 0));
+        outcomes.push(cache.insert(h, &k, meta, admission).1);
+    }
+    // The window rolls during the lookup that completes it, so the
+    // second miss of the all-miss window is already bypassed; only the
+    // first insertion lands.
+    assert_eq!(outcomes[0], InsertOutcome::Inserted);
+    assert!(outcomes[1..].iter().all(|&o| o == InsertOutcome::Bypassed));
+    assert_eq!(cache.len(), 1);
+}
+
+#[test]
 fn shared_cache_spreads_and_clears() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -53,12 +53,12 @@
 //! Typical lifecycle:
 //!
 //! ```
-//! use prosperity_core::engine::{Engine, PlanSnapshot, Session};
+//! use prosperity_core::engine::{PlanSnapshot, Session};
 //! use spikemat::gemm::{OutputMatrix, WeightMatrix};
 //! use spikemat::SpikeMatrix;
 //!
 //! // A serving process warms its cache...
-//! let mut engine = Engine::<i64>::default();
+//! let mut engine = Session::<i64>::default();
 //! let spikes = SpikeMatrix::from_rows_of_bits(&[&[1, 0, 1], &[1, 0, 1]]);
 //! let weights = WeightMatrix::from_fn(3, 2, |r, c| (r + c) as i64);
 //! let mut out = OutputMatrix::zeros(0, 0);
@@ -501,7 +501,7 @@ fn decode_entry(buf: &mut Bytes) -> Result<SnapshotEntry, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineConfig, Session};
+    use crate::engine::{EngineConfig, Session};
     use crate::prune::MatchKind;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -512,7 +512,7 @@ mod tests {
     fn warm_session(seed: u64, cache_capacity: usize) -> (Session<i64>, Vec<SpikeMatrix>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let config = EngineConfig::new(TileShape::new(8, 8), cache_capacity);
-        let mut engine = Engine::new(config);
+        let mut engine = Session::new(config);
         let w = WeightMatrix::from_fn(24, 3, |r, c| (r * 5 + c) as i64 - 11);
         let mut out = OutputMatrix::zeros(0, 0);
         let spikes: Vec<SpikeMatrix> = (0..6)
@@ -760,7 +760,7 @@ mod tests {
         // serve time. Build a tile guaranteed to contain a prefix pair.
         let tile = SpikeMatrix::from_rows_of_bits(&[&[1, 0, 0, 1], &[1, 1, 0, 1]]);
         let config = EngineConfig::new(TileShape::new(2, 4), 16);
-        let mut engine = Engine::<i64>::new(config);
+        let mut engine = Session::<i64>::new(config);
         let w = WeightMatrix::from_fn(4, 2, |r, c| (r + c) as i64);
         let mut out = OutputMatrix::zeros(0, 0);
         engine.gemm_into(&tile, &w, &mut out);
@@ -846,6 +846,30 @@ mod tests {
         let (_, report) = Session::<i64>::warm_start(*engine.config(), &snap);
         assert_eq!(report.skipped_shape, 0);
         assert_eq!(report.restored, snap.len());
+    }
+
+    #[test]
+    fn caching_off_import_classifies_shape_before_capacity() {
+        // With caching off nothing is restored, but wrong-shape entries are
+        // still reported as such: only the entries this session could serve
+        // count as capacity skips.
+        let (engine, _) = warm_session(0x0FF, 256);
+        let mut snap = engine.export_snapshot(256);
+        let fit = snap.len();
+        snap.entries.extend(seeded_plan_snapshot().entries); // a 256×16 plan
+        let off = EngineConfig::new(TileShape::new(8, 8), 0);
+        let (warm, report) = Session::<i64>::warm_start(off, &snap);
+        assert_eq!(report.requested, fit + 1);
+        assert_eq!(report.skipped_shape, 1);
+        assert_eq!(report.skipped_capacity, fit);
+        assert_eq!(
+            report.requested,
+            report.restored
+                + report.skipped_capacity
+                + report.skipped_duplicate
+                + report.skipped_shape
+        );
+        assert_eq!(warm.cached_plans(), 0);
     }
 
     #[test]

@@ -331,14 +331,14 @@ impl SnapshotStore {
 mod tests {
     use super::*;
     use crate::engine::faults;
-    use crate::engine::{Engine, EngineConfig};
+    use crate::engine::{EngineConfig, Session};
     use spikemat::gemm::{OutputMatrix, WeightMatrix};
     use spikemat::{SpikeMatrix, TileShape};
 
     /// A non-empty snapshot to store (planned from a fixed tile).
     fn sample_snapshot() -> PlanSnapshot {
         let config = EngineConfig::new(TileShape::new(8, 8), 64);
-        let mut engine = Engine::<i64>::new(config);
+        let mut engine = Session::<i64>::new(config);
         let row: &[u8] = &[1, 0, 1, 1, 0, 0, 1, 0];
         let spikes = SpikeMatrix::from_rows_of_bits(&[row; 8]);
         let w = WeightMatrix::from_fn(8, 2, |r, c| (r + c) as i64);

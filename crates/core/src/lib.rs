@@ -78,7 +78,7 @@ pub mod stats;
 
 pub use detect::{DetectedTile, TcamDetector};
 pub use engine::{
-    BatchPolicy, BatchScheduler, Engine, EngineConfig, EngineStats, Session, SharedCacheStats,
+    BatchPolicy, BatchScheduler, EngineConfig, EngineStats, Session, SharedCacheStats,
     SharedPlanCache,
 };
 

@@ -13,7 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use prosperity::core::engine::{AdmissionConfig, Engine, EngineConfig, Session, SharedPlanCache};
+use prosperity::core::engine::{AdmissionConfig, EngineConfig, Session, SharedPlanCache};
 use prosperity::spikemat::gemm::{OutputMatrix, WeightMatrix};
 use prosperity::spikemat::{SpikeMatrix, TileShape};
 use rand::rngs::StdRng;
@@ -127,7 +127,7 @@ fn steady_state_serving_hot_path_is_allocation_free() {
 
     // 64×64 tiles: every key window starts on a limb boundary.
     let config = EngineConfig::new(TileShape::new(64, 64), 256);
-    let mut engine = Engine::<i64>::new(config);
+    let mut engine = Session::<i64>::new(config);
     let weights = WeightMatrix::from_fn(192, 32, |r, c| (r * 7 + c) as i64 - 100);
     assert_steady_gemms_allocation_free("64x64", &mut engine, &random_inputs(128, 192), &weights);
 

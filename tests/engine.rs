@@ -5,7 +5,7 @@
 //! eviction pressure, or temporal correlation of the input.
 
 use prosperity::core::attention::{spiking_qk, spiking_qk_with};
-use prosperity::core::engine::{threshold_spikes, Element, Engine, EngineConfig, Session};
+use prosperity::core::engine::{threshold_spikes, Element, EngineConfig, Session};
 use prosperity::core::exec::{execute_plan, execute_plan_serial, prosparsity_gemm};
 use prosperity::core::ProSparsityPlan;
 use prosperity::models::tracegen::{TraceGen, TraceGenParams};
@@ -24,7 +24,7 @@ fn engine_is_bit_identical_to_per_call_loop_on_model_trace() {
     let workload = Workload::spikingbert_sst2();
     let trace = workload.generate_trace(0.04);
     let tile = TileShape::prosperity_default();
-    let mut engine = Engine::new(EngineConfig::new(tile, 256));
+    let mut engine = Session::new(EngineConfig::new(tile, 256));
     let weights: Vec<_> = trace
         .layers
         .iter()
@@ -55,7 +55,7 @@ fn correlated_timesteps_hit_cache_and_stay_exact() {
     let w = prosperity::spikemat::gemm::WeightMatrix::from_fn(32, 8, |r, c| {
         (r * 13 + c * 5) as i64 - 40
     });
-    let mut engine = Engine::new(EngineConfig::new(TileShape::new(64, 16), 512));
+    let mut engine = Session::new(EngineConfig::new(TileShape::new(64, 16), 512));
     let mut out = OutputMatrix::zeros(0, 0);
     for (t, spikes) in steps.iter().enumerate() {
         engine.gemm_into(spikes, &w, &mut out);
@@ -73,8 +73,8 @@ fn correlated_timesteps_hit_cache_and_stay_exact() {
 #[test]
 fn engine_serial_and_parallel_agree_under_eviction() {
     let mut rng = StdRng::seed_from_u64(99);
-    let mut par = Engine::new(EngineConfig::new(TileShape::new(16, 8), 3));
-    let mut ser = Engine::new(EngineConfig::new(TileShape::new(16, 8), 3));
+    let mut par = Session::new(EngineConfig::new(TileShape::new(16, 8), 3));
+    let mut ser = Session::new(EngineConfig::new(TileShape::new(16, 8), 3));
     for _ in 0..8 {
         let m = rng.gen_range(1..80);
         let k = rng.gen_range(1..40);
@@ -167,7 +167,7 @@ fn check_every_path<T>(
 fn engine_attention_is_exact_and_reuses_tiles() {
     let mut rng = StdRng::seed_from_u64(1234);
     let tile = TileShape::new(32, 16);
-    let mut engine = Engine::new(EngineConfig::new(tile, 128));
+    let mut engine = Session::new(EngineConfig::new(tile, 128));
     let gen = TraceGen::new(TraceGenParams::uncorrelated(0.2));
     let keys = SpikeMatrix::random(24, 48, 0.25, &mut rng);
     let qs = gen.generate_timesteps(4, 64, 48, 0.95, &mut rng);
@@ -202,7 +202,7 @@ fn engine_chain_is_stable_across_repeated_runs() {
         threshold_spikes(&out, 3, &mut next);
         cur = next;
     }
-    let mut engine = Engine::new(EngineConfig::new(TileShape::new(16, 16), 64));
+    let mut engine = Session::new(EngineConfig::new(TileShape::new(16, 16), 64));
     let mut got = SpikeMatrix::zeros(0, 0);
     for _ in 0..3 {
         engine.forward_chain(&input, &layers, 3, &mut got);

@@ -11,7 +11,7 @@
 
 use prosperity::core::engine::faults::{self, FaultPlan};
 use prosperity::core::engine::{
-    AdmissionConfig, BatchPolicy, Engine, EngineConfig, PlanSnapshot, ServiceConfig, ServingLoop,
+    AdmissionConfig, BatchPolicy, EngineConfig, PlanSnapshot, ServiceConfig, ServingLoop, Session,
     SharedPlanCache, SnapshotStore, TraceStep,
 };
 use prosperity::models::tracegen::{TraceGen, TraceGenParams};
@@ -48,7 +48,7 @@ fn serial_private_oracle(batch: &TenantBatch, config: EngineConfig) -> Vec<Vec<O
         .iter()
         .zip(&batch.weights)
         .map(|(stream, w)| {
-            let mut engine = Engine::new(config);
+            let mut engine = Session::new(config);
             let mut outs = Vec::with_capacity(stream.len());
             for spikes in stream {
                 let mut out = OutputMatrix::zeros(0, 0);
@@ -478,7 +478,7 @@ fn admission_gc_collects_a_quarantined_lanes_window() {
     // third step, after its admission window exists.
     let spikes = prosperity::spikemat::SpikeMatrix::random(32, 32, 0.3, &mut rng);
     let traces: Vec<Vec<TraceStep<'_, i64>>> = (0..3).map(|_| vec![(&spikes, &w); 12]).collect();
-    let mut oracle_engine = Engine::new(EngineConfig::new(tile, 2048));
+    let mut oracle_engine = Session::new(EngineConfig::new(tile, 2048));
     let mut want = OutputMatrix::zeros(0, 0);
     oracle_engine.gemm_into_serial(&spikes, &w, &mut want);
 

@@ -18,7 +18,7 @@
 //!    process's snapshot.
 
 use prosperity::core::engine::{
-    BatchPolicy, Engine, EngineConfig, FleetHarness, Ring, ServiceConfig, ServingLoop,
+    BatchPolicy, EngineConfig, FleetHarness, Ring, ServiceConfig, ServingLoop, Session,
     SnapshotStore, TraceStep,
 };
 use prosperity::models::tracegen::{TraceGen, TraceGenParams};
@@ -149,7 +149,7 @@ fn serial_oracle(
     weights: &WeightMatrix<i64>,
     config: EngineConfig,
 ) -> Vec<OutputMatrix<i64>> {
-    let mut engine = Engine::new(config);
+    let mut engine = Session::new(config);
     stream
         .iter()
         .map(|spikes| {

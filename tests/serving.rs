@@ -6,7 +6,7 @@
 //! tile content, so sharing may only ever change *who* plans a tile.
 
 use prosperity::core::engine::{
-    AdmissionConfig, BatchPolicy, BatchScheduler, Engine, EngineConfig, EngineStats, PlanSnapshot,
+    AdmissionConfig, BatchPolicy, BatchScheduler, EngineConfig, EngineStats, PlanSnapshot,
     ServiceConfig, ServingLoop, Session, SharedPlanCache, TraceStep,
 };
 use prosperity::models::tracegen::{TraceGen, TraceGenParams};
@@ -45,7 +45,7 @@ fn serial_private_oracle(batch: &TenantBatch, config: EngineConfig) -> Vec<Vec<O
         .iter()
         .zip(&batch.weights)
         .map(|(stream, w)| {
-            let mut engine = Engine::new(config);
+            let mut engine = Session::new(config);
             let mut outs = Vec::with_capacity(stream.len());
             for spikes in stream {
                 let mut out = OutputMatrix::zeros(0, 0);
@@ -225,7 +225,7 @@ fn session_gemm_slice_matches_serial_across_mixed_quanta() {
         let config = EngineConfig::new(tile, 64);
         let oracle = serial_private_oracle(&batch, config);
         let serial_slices = trial % 2 == 0;
-        let mut engine = Engine::new(config);
+        let mut engine = Session::new(config);
         for (tenant, (stream, w)) in batch.streams.iter().zip(&batch.weights).enumerate() {
             for (step, spikes) in stream.iter().enumerate() {
                 let mut out = OutputMatrix::zeros(0, 0);
@@ -365,7 +365,7 @@ fn tenant_model_traces_serve_exactly() {
     let oracle: Vec<Vec<OutputMatrix<i64>>> = traces
         .iter()
         .map(|trace| {
-            let mut engine = Engine::new(config);
+            let mut engine = Session::new(config);
             trace
                 .iter()
                 .map(|&(s, w)| {
@@ -400,8 +400,8 @@ fn admission_bypass_is_lossless_and_reversible() {
     };
     let config = EngineConfig::new(tile, 256).with_admission(admission);
     let oracle_config = EngineConfig::new(tile, 256);
-    let mut engine = Engine::new(config);
-    let mut oracle = Engine::new(oracle_config);
+    let mut engine = Session::new(config);
+    let mut oracle = Session::new(oracle_config);
     let mut out = OutputMatrix::zeros(0, 0);
     let mut want = OutputMatrix::zeros(0, 0);
     // Phase 1: uncorrelated — every matrix distinct.
@@ -452,7 +452,7 @@ fn snapshot_restored_sessions_serve_identically_but_warmer() {
         let w = WeightMatrix::from_fn(k, 3, |r, c| (r * 7 + c) as i64 - 9);
 
         // Process 1: serve cold, then snapshot at "shutdown".
-        let mut original = Engine::new(config);
+        let mut original = Session::new(config);
         let mut out = OutputMatrix::zeros(0, 0);
         let mut want = Vec::new();
         for s in stream {
@@ -518,7 +518,7 @@ fn snapshot_restored_plans_replay_losslessly_at_every_width() {
         .collect();
     let spikes = SpikeMatrix::from_rows(rows);
     let config = EngineConfig::new(TileShape::new(64, 16), 256);
-    let mut original = Engine::<i64>::new(config);
+    let mut original = Session::<i64>::new(config);
     original.gemm(&spikes, &WeightMatrix::from_fn(k, 1, |r, _| r as i64));
     let snapshot = original.export_snapshot(config.cache_capacity);
     let decoded = PlanSnapshot::decode(snapshot.encode()).expect("decode");
@@ -595,7 +595,7 @@ fn per_tenant_admission_isolates_hot_and_cold_tenants() {
     let w = WeightMatrix::from_fn(48, 4, |r, c| (r * 3 + c) as i64 - 20);
     let mut out = OutputMatrix::zeros(0, 0);
     let mut want = OutputMatrix::zeros(0, 0);
-    let mut oracle = Engine::new(config);
+    let mut oracle = Session::new(config);
     // The hot tenant replays one matrix; the cold tenant never repeats.
     let hot_spikes = prosperity::spikemat::SpikeMatrix::random(64, 48, 0.4, &mut rng);
     for _ in 0..24 {
@@ -673,7 +673,7 @@ fn begin_batch_stops_run_a_admission_from_gating_run_b() {
     clean.run(&run_a, |_, _, _| {});
     clean.begin_batch();
     clean.run(&run_b, |lane, step, out| {
-        let mut oracle = Engine::new(EngineConfig::new(tile, 4096));
+        let mut oracle = Session::new(EngineConfig::new(tile, 4096));
         let mut want = OutputMatrix::zeros(0, 0);
         oracle.gemm_into_serial(&hot, &w, &mut want);
         assert_eq!(out, &want, "lane {lane} step {step}");
