@@ -49,8 +49,8 @@
 //! Planning and execution are the software hot path and are written to run
 //! as fast as the hardware allows:
 //!
-//! * the planner fuses Detector + Pruner into a word-parallel early-exit
-//!   scan (see [`plan`]), with `detect`/`prune` kept as the oracle;
+//! * the planner fuses Detector + Pruner into a word-parallel scan (see
+//!   [`plan`]), with `detect`/`prune` kept as the oracle;
 //! * the executor accumulates into a flat per-row-tile arena with no heap
 //!   allocation inside the tile loop (see [`exec`]);
 //! * both stages distribute independent tiles / row-tiles across threads

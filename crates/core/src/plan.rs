@@ -18,31 +18,31 @@
 //! * the planner's one input is the tile's row-major limbs, exactly the
 //!   plan-cache key [`SpikeMatrix::tile_key_into`] writes, so a cache miss
 //!   plans from the key it just looked up and no tile is extracted;
-//! * the tile is transposed once into per-column **row masks** (bit `j` of
-//!   mask `c` ⇔ row `j` spikes at column `c`), gathering each 64×64 block
-//!   from the limbs with a one-row stride and counting each row's popcount
-//!   on the way;
-//! * the Dispatcher's execution order is a **counting sort** of the rows by
+//! * each row's popcount comes straight from its limbs, and the
+//!   Dispatcher's execution order is a **counting sort** of the rows by
 //!   popcount into `k + 1` buckets filled in index order — exactly the
 //!   paper's stable sort, with no comparisons;
-//! * the Pruner visits candidate prefixes in **descending claim-once**
-//!   order: that order reversed, i.e. descending `(popcount, index)`, the
-//!   Pruner's argmax key. A row may take `j` as its prefix only if it
-//!   outranks `j` in that key, i.e. was visited before `j`. So `j`'s
-//!   supersets are the visited rows not yet claimed, intersected with the
-//!   masks of `j`'s one-columns, 64 rows per word. Every surviving row
-//!   takes `j` as its prefix and leaves the unclaimed set, so each row's
-//!   prefix is written once and is the staged Pruner's choice. The
-//!   exact-match rule (only the earlier of two identical rows may be the
-//!   prefix) needs no check: a duplicate with a smaller index than `j` has
-//!   not been visited yet;
-//! * the Pruner is one body generic over a constant mask-word count, like
-//!   the executor's constant widths: tiles of 193–256 rows (the paper's
-//!   default 256-row tile) keep the unclaimed and superset masks in
-//!   4-word arrays, read each candidate's row limbs directly and AND all
-//!   its column masks inline; every other height runs the same body over
-//!   runtime-length masks and exits a candidate early as soon as no
-//!   superset survives;
+//! * the tile is transposed once into per-column masks (bit `s` of mask
+//!   `c` ⇔ the row in slot `s` spikes at column `c`), gathering and
+//!   transposing one 64×64 bit block at a time;
+//! * tiles of 193–256 rows (the paper's default 256-row tile among them)
+//!   run the **pull** Pruner, the software form of the Detector's one TCAM
+//!   query per row plus the Pruner's `(popcount, index)` argmax:
+//!   Dispatcher positions ascend in that key, so a row's valid prefixes
+//!   are exactly its nonzero subsets at lower positions and its prefix is
+//!   the highest of them. The masks are in Dispatcher-position space, and
+//!   per 4-column group a 16-entry table holds the OR of the masks of each
+//!   column subset. A row's non-subsets are the OR of one entry per group,
+//!   indexed by the row's complement; masked to the nonzero positions
+//!   before the row, the highest remaining bit is the prefix, taken
+//!   without a branch;
+//! * every other height runs the **push** Pruner on row-space masks of a
+//!   runtime word count: candidate prefixes in descending `(popcount,
+//!   index)` order each claim their still-unclaimed supersets among the
+//!   rows visited before them (the rows that outrank them), intersecting
+//!   the masks of the candidate's one-columns 64 rows per word and exiting
+//!   as soon as none survives. So each row's prefix is written once, by
+//!   the staged Pruner's choice;
 //! * the patterns are one copy of the limbs, each prefixed row XORed in
 //!   place with its prefix's limbs;
 //! * the stored order is the **replay order**: the Dispatcher's order
@@ -278,19 +278,25 @@ pub(crate) fn derived_kind(prefix: u32, pattern: &[u64]) -> MatchKind {
 ///
 /// Thread one instance through [`ProSparsityPlan::build_tiled_with`] or
 /// [`TileMeta::build_with`] to keep repeated planning (e.g. across the
-/// timesteps of a model trace) free of transient allocation; the engine's
-/// plan cache owns one for exactly this purpose.
+/// timesteps of a model trace) free of transient allocation; each engine
+/// `Session` owns one for exactly this purpose.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     /// The current tile's row-major limbs (its plan-cache key).
     key: Vec<u64>,
     /// The current tile's popcounts and orders.
     orders: OrderBufs,
-    /// Transposed tile: per column, an m-bit mask of the rows spiking there.
+    /// Transposed tile: per column, an m-bit mask of the rows (push
+    /// Pruner) or Dispatcher positions (pull Pruner) spiking there.
     col_masks: Vec<u64>,
-    /// The runtime-width Pruner's two m-bit row masks, back to back (see
+    /// The push Pruner's two m-bit row masks, back to back (see
     /// [`prune`]).
     prune_masks: Vec<u64>,
+    /// The pull Pruner's per-4-column-group subset OR tables (see
+    /// [`pull_prune`]).
+    subset_tables: Vec<[[u64; PULL_WORDS]; 16]>,
+    /// The pull Pruner's position→row lookup, [`NO_PREFIX`] at slot 0.
+    position_row: Vec<u32>,
 }
 
 impl PlanScratch {
@@ -422,8 +428,7 @@ fn replay_order(prefix: &[u32], bufs: &mut OrderBufs) -> Vec<u32> {
 /// plan-cache key that [`SpikeMatrix::tile_key_into`] writes.
 ///
 /// Returns the meta of a tile placed at (0, 0) plus the tile's spike-bit
-/// count (reused for stats). See the module docs for the word-parallel
-/// candidate-mask scheme.
+/// count (reused for stats). See the module docs for the two Pruner arms.
 // analyze: hot-path
 pub(crate) fn build_tile_meta(
     limbs: &[u64],
@@ -439,6 +444,8 @@ pub(crate) fn build_tile_meta(
         orders,
         col_masks,
         prune_masks,
+        subset_tables,
+        position_row,
         ..
     } = scratch;
     let OrderBufs {
@@ -448,38 +455,10 @@ pub(crate) fn build_tile_meta(
         ..
     } = orders;
 
-    // Transpose the tile into column→row-set masks, one 64×64 bit block at
-    // a time (word-parallel; ~6·32 word ops per block instead of a bit-by-
-    // bit scatter), gathering each block's rows from the limbs with a
-    // stride of one row and counting each row's popcount from the gathered
-    // block. Columns are padded to whole blocks so every block store is
-    // unconditional; masks past column k are simply never consulted. Rows
-    // past m are zero in every mask.
     popcounts.clear();
     popcounts.resize(m, 0);
-    col_masks.clear();
-    col_masks.resize(words * 64 * mask_words, 0);
-    let mut block = [0u64; 64];
-    for row_block in 0..mask_words {
-        for col_block in 0..words {
-            let column = limbs
-                .get(row_block * 64 * words + col_block..)
-                .unwrap_or(&[]);
-            block.fill(0);
-            for (slot, &limb) in block.iter_mut().zip(column.iter().step_by(words)) {
-                *slot = limb;
-            }
-            for (pc, limb) in popcounts.iter_mut().skip(row_block * 64).zip(&block) {
-                *pc += limb.count_ones() as usize;
-            }
-            spikemat::bitops::transpose64(&mut block);
-            let dst = col_masks
-                .iter_mut()
-                .skip(col_block * 64 * mask_words + row_block);
-            for (mask, &limb) in dst.step_by(mask_words).zip(&block) {
-                *mask = limb;
-            }
-        }
+    for (pc, row) in popcounts.iter_mut().zip(limbs.chunks(words.max(1))) {
+        *pc = row.iter().map(|l| l.count_ones() as usize).sum();
     }
     let spike_bits: u64 = popcounts.iter().map(|&p| p as u64).sum();
     let popcount = |r: usize| popcounts.get(r).copied().unwrap_or(0);
@@ -490,19 +469,21 @@ pub(crate) fn build_tile_meta(
         .eq(crate::order::sorted_order(popcounts)));
     let sorter = BitonicSorter::model(m);
 
-    // Zero rows lead the Dispatcher's order and are never prefixes, so the
-    // Pruner's candidates are the rows after them.
+    // Zero rows lead the Dispatcher's order and are never prefixes.
     let zero_rows = popcounts.iter().filter(|&&p| p == 0).count();
-    let candidates = dispatch.get(zero_rows..).unwrap_or(&[]);
     let mut prefix = vec![NO_PREFIX; m];
     let rows = (limbs, words);
-    match mask_words {
-        4 => prune::<4>(rows, col_masks, candidates, &mut [0; 8], &mut prefix),
-        _ => {
-            prune_masks.clear();
-            prune_masks.resize(2 * mask_words, 0);
-            prune::<0>(rows, col_masks, candidates, prune_masks, &mut prefix);
-        }
+    if mask_words == PULL_WORDS {
+        let by_position = |p: usize| dispatch.get(p).map(|&r| r as usize);
+        transpose(rows, k, by_position, PULL_WORDS, col_masks);
+        let bufs = (subset_tables, position_row);
+        pull_prune(rows, col_masks, k, (dispatch, zero_rows), bufs, &mut prefix);
+    } else {
+        transpose(rows, k, Some, mask_words, col_masks);
+        prune_masks.clear();
+        prune_masks.resize(2 * mask_words, 0);
+        let candidates = dispatch.get(zero_rows..).unwrap_or(&[]);
+        prune(rows, col_masks, candidates, prune_masks, &mut prefix);
     }
 
     let mut pattern_limbs = limbs.to_vec();
@@ -533,30 +514,154 @@ pub(crate) fn build_tile_meta(
     )
 }
 
-/// The Pruner over `candidates` (the Dispatcher's order without its zero
-/// rows), writing each claimed row's prefix. `rows` is the tile's
-/// row-major limbs and their count per row, `col_masks` per column the
-/// row mask of the rows spiking there. `masks` is two zeroed row masks
-/// of `W` words each, or of a runtime word count when `W` is 0:
-/// `unclaimed`, the rows that outrank the candidate and have no prefix
-/// yet (the only rows it may claim), and the candidate's `supersets`.
-///
-/// Candidates are visited in descending (popcount, index) order, the
-/// Pruner's argmax key. Only rows visited before `j` outrank it, so the
-/// first candidate to reach an unclaimed visited superset is exactly the
-/// staged pipeline's selected prefix. supersets(j) = unclaimed ∩ over
-/// `j`'s one-columns of that column's row mask; `j` joins the unclaimed
-/// rows after its own visit.
+/// Mask words of the tiles the pull Pruner plans: 193–256 rows.
+const PULL_WORDS: usize = 4;
+
+/// Transposes a tile into per-column masks of `mask_words` words: bit `s`
+/// of column `c`'s mask is set iff the row in slot `s` spikes at column
+/// `c`, where `row_at(s)` names that row (`None` past the last slot).
+/// `rows` is the tile's row-major limbs and their count per row. Each
+/// 64×64 bit block is gathered and transposed at once (~6·32 word ops
+/// instead of a bit-by-bit scatter); a tile at most 32 columns wide packs
+/// several 64-slot blocks side by side into one, each in `k` rounded up to
+/// a power of two bits. Columns are padded to whole blocks, so every block
+/// store is unconditional; masks past column `k` are zero.
 // analyze: hot-path
-#[inline(always)]
-fn prune<const W: usize>(
+fn transpose(
+    (limbs, words): (&[u64], usize),
+    k: usize,
+    row_at: impl Fn(usize) -> Option<usize>,
+    mask_words: usize,
+    col_masks: &mut Vec<u64>,
+) {
+    col_masks.clear();
+    col_masks.resize(words * 64 * mask_words, 0);
+    let lane = if words == 1 {
+        k.next_power_of_two()
+    } else {
+        64
+    };
+    let lanes = (64 / lane).min(mask_words);
+    let mut block = [0u64; 64];
+    for first in (0..mask_words).step_by(lanes.max(1)) {
+        for col_block in 0..words {
+            for (s, limb) in block.iter_mut().enumerate() {
+                *limb = 0;
+                for l in 0..lanes {
+                    let at = row_at((first + l) * 64 + s).map(|r| r * words + col_block);
+                    *limb |= at.and_then(|i| limbs.get(i)).copied().unwrap_or(0) << (l * lane);
+                }
+            }
+            spikemat::bitops::transpose64(&mut block);
+            let filled = lanes.min(mask_words - first);
+            for (l, cols) in block.chunks(lane).take(filled).enumerate() {
+                let dst = col_masks
+                    .iter_mut()
+                    .skip(col_block * 64 * mask_words + first + l);
+                for (mask, &limb) in dst.step_by(mask_words).zip(cols) {
+                    *mask = limb;
+                }
+            }
+        }
+    }
+}
+
+/// The pull Pruner of a 193–256-row tile (module docs), writing each
+/// nonzero row's prefix. `rows` is the tile's row-major limbs and their
+/// count per row, `dispatch` the Dispatcher's order and the number of zero
+/// rows leading it, and `col_masks` the tile transposed in
+/// Dispatcher-position space, [`PULL_WORDS`] words per column. `tables`
+/// receives, per 4-column group, the OR of the column masks of each nibble
+/// subset; `position_row` receives the row at position `p` in slot `p + 1`
+/// and [`NO_PREFIX`] in slot 0, so the highest subset position plus one,
+/// or 0 for none, looks up the prefix.
+// analyze: hot-path
+fn pull_prune(
+    (limbs, words): (&[u64], usize),
+    col_masks: &[u64],
+    k: usize,
+    (dispatch, zero_rows): (&[u32], usize),
+    (tables, position_row): (&mut Vec<[[u64; PULL_WORDS]; 16]>, &mut Vec<u32>),
+    prefix: &mut [u32],
+) {
+    position_row.clear();
+    position_row.push(NO_PREFIX);
+    position_row.extend_from_slice(dispatch);
+    tables.clear();
+    tables.resize(k.div_ceil(4), [[0; PULL_WORDS]; 16]);
+    for (table, group) in tables.iter_mut().zip(col_masks.chunks(4 * PULL_WORDS)) {
+        // Entry `s` is the entry without `s`'s lowest column, plus that
+        // column's mask.
+        for s in 1..16 {
+            let (built, rest) = table.split_at_mut(s);
+            let column = 4 * s.trailing_zeros() as usize;
+            let (Some(low), Some(col), Some(entry)) = (
+                built.get(s & (s - 1)),
+                group.get(column..column + PULL_WORDS),
+                rest.first_mut(),
+            ) else {
+                continue;
+            };
+            for ((e, &l), &c) in entry.iter_mut().zip(low).zip(col) {
+                *e = l | c;
+            }
+        }
+    }
+    // The positions of the nonzero rows visited so far: the candidates.
+    let mut window = [0u64; PULL_WORDS];
+    for (p, &r) in dispatch.iter().enumerate().skip(zero_rows) {
+        let r = r as usize;
+        let row = limbs.get(r * words..).unwrap_or(&[]);
+        let mut outside = [0u64; PULL_WORDS];
+        for (limb_tables, &limb) in tables.chunks(16).zip(row) {
+            let mut absent = !limb;
+            for table in limb_tables {
+                if let Some(entry) = table.get(absent as usize & 15) {
+                    for (o, &e) in outside.iter_mut().zip(entry) {
+                        *o |= e;
+                    }
+                }
+                absent >>= 4;
+            }
+        }
+        // The highest candidate subset's position plus one, or 0.
+        let mut slot = 0;
+        for (w, (&o, &win)) in outside.iter().zip(&window).enumerate() {
+            let subsets = !o & win;
+            let top = w * 64 + 64 - subsets.leading_zeros() as usize;
+            slot = if subsets != 0 { top } else { slot };
+        }
+        if let (Some(dst), Some(&src)) = (prefix.get_mut(r), position_row.get(slot)) {
+            *dst = src;
+        }
+        if let Some(w) = window.get_mut(p / 64) {
+            *w |= 1 << (p % 64);
+        }
+    }
+}
+
+/// The push Pruner of every other tile height (module docs), over
+/// `candidates` (the Dispatcher's order without its zero rows), writing
+/// each claimed row's prefix. `rows` is the tile's row-major limbs and
+/// their count per row, `col_masks` per column the row mask of the rows
+/// spiking there. `masks` is two zeroed row masks back to back:
+/// `unclaimed`, the rows that outrank the candidate and have no prefix yet
+/// (the only rows it may claim), and the candidate's `supersets`.
+///
+/// Only rows visited before `j` outrank it, so the first candidate to
+/// reach an unclaimed visited superset is exactly the staged pipeline's
+/// selected prefix. supersets(j) = unclaimed ∩ over `j`'s one-columns of
+/// that column's row mask; `j` joins the unclaimed rows after its own
+/// visit.
+// analyze: hot-path
+fn prune(
     (limbs, words): (&[u64], usize),
     col_masks: &[u64],
     candidates: &[u32],
     masks: &mut [u64],
     prefix: &mut [u32],
 ) {
-    let mw = if W == 0 { masks.len() / 2 } else { W };
+    let mw = masks.len() / 2;
     let (unclaimed, supersets) = masks.split_at_mut(mw);
     'candidates: for &j in candidates.iter().rev() {
         let j = j as usize;
@@ -576,9 +681,7 @@ fn prune<const W: usize>(
                     *s &= m;
                     any |= *s;
                 }
-                // The const-width arm has a few words: ANDing them all
-                // costs less than the unpredictable early exit would save.
-                if W == 0 && any == 0 {
+                if any == 0 {
                     continue 'candidates;
                 }
             }
@@ -862,7 +965,7 @@ mod tests {
     }
 
     /// Every Pruner arm against the staged oracle, on both sides of the
-    /// const 4-mask-word arm (193–256 rows) and across pattern-limb
+    /// 4-mask-word pull arm (193–256 rows) and across pattern-limb
     /// boundaries. One scratch is threaded through every shape, so it also
     /// switches arms; the key-fed planner must equal [`TileMeta::build`].
     #[test]
@@ -892,6 +995,108 @@ mod tests {
                     let pruned = prune_tile(&tile, &detect_tile(&tile));
                     assert_eq!(meta.rows().collect::<Vec<_>>(), pruned, "{what}");
                     assert_orders(&tile, &meta, &what);
+                }
+            }
+        }
+    }
+
+    /// The push Pruner's prefixes for a tile of any height, given as its
+    /// key: what [`build_tile_meta`] computes outside the pull arm.
+    fn push_prefixes(key: &[u64], m: usize, k: usize) -> Vec<u32> {
+        let words = k.div_ceil(64);
+        let popcounts: Vec<usize> = (0..m)
+            .map(|r| {
+                key[r * words..(r + 1) * words]
+                    .iter()
+                    .map(|l| l.count_ones() as usize)
+                    .sum()
+            })
+            .collect();
+        let (mut buckets, mut dispatch) = (Vec::new(), Vec::new());
+        counting_pass(
+            0..m as u32,
+            |r| popcounts[r],
+            k + 1,
+            &mut buckets,
+            &mut dispatch,
+        );
+        let zero_rows = popcounts.iter().filter(|&&p| p == 0).count();
+        let mask_words = m.div_ceil(64);
+        let mut col_masks = Vec::new();
+        transpose((key, words), k, Some, mask_words, &mut col_masks);
+        let mut prefix = vec![NO_PREFIX; m];
+        let mut masks = vec![0; 2 * mask_words];
+        prune(
+            (key, words),
+            &col_masks,
+            &dispatch[zero_rows..],
+            &mut masks,
+            &mut prefix,
+        );
+        prefix
+    }
+
+    /// The pull arm (193–256 rows) against the push Pruner on the same
+    /// tile and against the staged oracle, on random, duplicate-heavy,
+    /// all-identical, single-bit, all-zero and ragged tiles, across one to
+    /// three pattern limbs.
+    #[test]
+    fn pull_and_push_pruners_agree_across_the_pull_band() {
+        use crate::detect::detect_tile;
+        use crate::prune::prune_tile;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9011);
+        let (mut scratch, mut key) = (PlanScratch::new(), Vec::new());
+        for k in [1, 3, 4, 5, 16, 17, 63, 64, 65, 140] {
+            for rep in 0..3 {
+                // The first tile is full height: a 256-deep identical chain.
+                let m = if rep == 0 {
+                    256
+                } else {
+                    rng.gen_range(193..=256)
+                };
+                let mut identical = SpikeMatrix::random(1, k, 0.5, &mut rng).row(0).clone();
+                identical.set(k - 1, true);
+                let single_bit = (0..m)
+                    .map(|_| {
+                        let mut row = BitRow::zeros(k);
+                        row.set(rng.gen_range(0..k), true);
+                        row
+                    })
+                    .collect();
+                // A source matrix ending inside the tile, keyed past its
+                // last row from an offset column: zero padding rows and
+                // columns.
+                let short = SpikeMatrix::random(m / 2 + 1, k + 7, 0.3, &mut rng);
+                let tiles = [
+                    (
+                        "random",
+                        SpikeMatrix::random(m, k, rng.gen_range(0.02..0.9), &mut rng),
+                        (0, 0),
+                    ),
+                    (
+                        "duplicate-heavy",
+                        duplicate_heavy_tile(m, k, &mut rng),
+                        (0, 0),
+                    ),
+                    (
+                        "identical",
+                        SpikeMatrix::from_rows(vec![identical; m]),
+                        (0, 0),
+                    ),
+                    ("single-bit", SpikeMatrix::from_rows(single_bit), (0, 0)),
+                    ("zero", SpikeMatrix::zeros(m, k), (0, 0)),
+                    ("ragged", short, (m / 4, 7)),
+                ];
+                for (input, source, (row_start, col_start)) in tiles {
+                    let what = format!("{m}×{k} {input}");
+                    source.tile_key_into(row_start, col_start, m, k, &mut key);
+                    let tile = source.submatrix(row_start, col_start, m, k);
+                    let (meta, _) = build_tile_meta(&key, m, k, &mut scratch);
+                    assert_eq!(meta.prefix, push_prefixes(&key, m, k), "{what}");
+                    let pruned = prune_tile(&tile, &detect_tile(&tile));
+                    assert_eq!(meta.rows().collect::<Vec<_>>(), pruned, "{what}");
                 }
             }
         }
@@ -1020,8 +1225,8 @@ mod tests {
                 )
             })
             .collect();
-        // 256-row tiles take the const 4-word Pruner arm, 300- and 16-row
-        // tiles the runtime one, so each switch reuses the other's buffers.
+        // 256-row tiles take the pull Pruner, 300- and 16-row tiles the
+        // push one, so each switch reuses the other's buffers.
         let tall = SpikeMatrix::random(600, 40, 0.3, &mut rng);
         for rows in [256, 300, 16, 256, 16, 300, 256] {
             cases.push((tall.clone(), TileShape::new(rows, 16)));
