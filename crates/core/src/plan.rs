@@ -22,27 +22,21 @@
 //!   Dispatcher's execution order is a **counting sort** of the rows by
 //!   popcount into `k + 1` buckets filled in index order — exactly the
 //!   paper's stable sort, with no comparisons;
-//! * the tile is transposed once into per-column masks (bit `s` of mask
-//!   `c` ⇔ the row in slot `s` spikes at column `c`), gathering and
-//!   transposing one 64×64 bit block at a time;
-//! * tiles of 193–256 rows (the paper's default 256-row tile among them)
-//!   run the **pull** Pruner, the software form of the Detector's one TCAM
+//! * the tile is transposed once into per-column masks in
+//!   Dispatcher-position space (bit `p` of mask `c` ⇔ the row at position
+//!   `p` spikes at column `c`), gathering and transposing one 64×64 bit
+//!   block at a time;
+//! * the Pruner **pulls**, the software form of the Detector's one TCAM
 //!   query per row plus the Pruner's `(popcount, index)` argmax:
 //!   Dispatcher positions ascend in that key, so a row's valid prefixes
 //!   are exactly its nonzero subsets at lower positions and its prefix is
-//!   the highest of them. The masks are in Dispatcher-position space, and
-//!   per 4-column group a 16-entry table holds the OR of the masks of each
-//!   column subset. A row's non-subsets are the OR of one entry per group,
-//!   indexed by the row's complement; masked to the nonzero positions
-//!   before the row, the highest remaining bit is the prefix, taken
-//!   without a branch;
-//! * every other height runs the **push** Pruner on row-space masks of a
-//!   runtime word count: candidate prefixes in descending `(popcount,
-//!   index)` order each claim their still-unclaimed supersets among the
-//!   rows visited before them (the rows that outrank them), intersecting
-//!   the masks of the candidate's one-columns 64 rows per word and exiting
-//!   as soon as none survives. So each row's prefix is written once, by
-//!   the staged Pruner's choice;
+//!   the highest of them. Per 4-column group a 16-entry table holds the OR
+//!   of the masks of each column subset. A row's non-subsets are the OR of
+//!   one entry per group, indexed by the row's complement; masked to the
+//!   nonzero positions before the row, the highest remaining bit is the
+//!   prefix, taken without a branch. Masks and tables hold 256 positions
+//!   (the paper's default tile height) per step, and a taller tile queries
+//!   its steps in ascending order;
 //! * the patterns are one copy of the limbs, each prefixed row XORed in
 //!   place with its prefix's limbs;
 //! * the stored order is the **replay order**: the Dispatcher's order
@@ -286,16 +280,12 @@ pub struct PlanScratch {
     key: Vec<u64>,
     /// The current tile's popcounts and orders.
     orders: OrderBufs,
-    /// Transposed tile: per column, an m-bit mask of the rows (push
-    /// Pruner) or Dispatcher positions (pull Pruner) spiking there.
-    col_masks: Vec<u64>,
-    /// The push Pruner's two m-bit row masks, back to back (see
-    /// [`prune`]).
-    prune_masks: Vec<u64>,
-    /// The pull Pruner's per-4-column-group subset OR tables (see
-    /// [`pull_prune`]).
-    subset_tables: Vec<[[u64; PULL_WORDS]; 16]>,
-    /// The pull Pruner's position→row lookup, [`NO_PREFIX`] at slot 0.
+    /// Transposed tile: per column, an m-bit mask of the Dispatcher
+    /// positions spiking there (see [`transpose`]).
+    col_masks: Vec<Step>,
+    /// The Pruner's subset OR tables (see [`prune`]).
+    subset_tables: Vec<Table>,
+    /// The Pruner's position→row lookup, [`NO_PREFIX`] at slot 0.
     position_row: Vec<u32>,
 }
 
@@ -428,7 +418,7 @@ fn replay_order(prefix: &[u32], bufs: &mut OrderBufs) -> Vec<u32> {
 /// plan-cache key that [`SpikeMatrix::tile_key_into`] writes.
 ///
 /// Returns the meta of a tile placed at (0, 0) plus the tile's spike-bit
-/// count (reused for stats). See the module docs for the two Pruner arms.
+/// count (reused for stats).
 // analyze: hot-path
 pub(crate) fn build_tile_meta(
     limbs: &[u64],
@@ -439,11 +429,9 @@ pub(crate) fn build_tile_meta(
     let words = k.div_ceil(64);
     assert!(m < NO_PREFIX as usize, "{m} rows overflow a u32 row index");
     assert_eq!(limbs.len(), m * words, "not the limbs of a {m}×{k} tile");
-    let mask_words = m.div_ceil(64);
     let PlanScratch {
         orders,
         col_masks,
-        prune_masks,
         subset_tables,
         position_row,
         ..
@@ -473,18 +461,9 @@ pub(crate) fn build_tile_meta(
     let zero_rows = popcounts.iter().filter(|&&p| p == 0).count();
     let mut prefix = vec![NO_PREFIX; m];
     let rows = (limbs, words);
-    if mask_words == PULL_WORDS {
-        let by_position = |p: usize| dispatch.get(p).map(|&r| r as usize);
-        transpose(rows, k, by_position, PULL_WORDS, col_masks);
-        let bufs = (subset_tables, position_row);
-        pull_prune(rows, col_masks, k, (dispatch, zero_rows), bufs, &mut prefix);
-    } else {
-        transpose(rows, k, Some, mask_words, col_masks);
-        prune_masks.clear();
-        prune_masks.resize(2 * mask_words, 0);
-        let candidates = dispatch.get(zero_rows..).unwrap_or(&[]);
-        prune(rows, col_masks, candidates, prune_masks, &mut prefix);
-    }
+    transpose(rows, dispatch, col_masks);
+    let bufs = (subset_tables, position_row);
+    prune(rows, k, (dispatch, zero_rows), col_masks, bufs, &mut prefix);
 
     let mut pattern_limbs = limbs.to_vec();
     if words > 0 {
@@ -514,189 +493,150 @@ pub(crate) fn build_tile_meta(
     )
 }
 
-/// Mask words of the tiles the pull Pruner plans: 193–256 rows.
-const PULL_WORDS: usize = 4;
+/// Columns per subset table: the Pruner reads a row's complement one
+/// nibble at a time.
+const GROUP: usize = 4;
 
-/// Transposes a tile into per-column masks of `mask_words` words: bit `s`
-/// of column `c`'s mask is set iff the row in slot `s` spikes at column
-/// `c`, where `row_at(s)` names that row (`None` past the last slot).
-/// `rows` is the tile's row-major limbs and their count per row. Each
-/// 64×64 bit block is gathered and transposed at once (~6·32 word ops
-/// instead of a bit-by-bit scatter); a tile at most 32 columns wide packs
-/// several 64-slot blocks side by side into one, each in `k` rounded up to
-/// a power of two bits. Columns are padded to whole blocks, so every block
-/// store is unconditional; masks past column `k` are zero.
+/// Entries per subset table, one per subset of a group's columns.
+const ENTRIES: usize = 1 << GROUP;
+
+/// Mask words per step of the Pruner's query: 256 Dispatcher positions,
+/// the paper's default tile height.
+const STEP: usize = 4;
+
+/// One step of a position mask: bit `p % 64` of word `p / 64 % STEP`.
+type Step = [u64; STEP];
+
+/// Per subset of a group's columns, the OR of their masks in one step.
+type Table = [Step; ENTRIES];
+
+/// Transposes a tile into column masks in Dispatcher-position space: bit
+/// `p % 64` of word `p / 64 % STEP` of column `c`'s mask in step
+/// `p / (64 · STEP)` is set iff the row at position `p` of `dispatch`
+/// spikes at column `c`. `rows` is the tile's row-major limbs and their
+/// count per row. Masks are stored step-major, `64 · words` columns per
+/// step, columns past `k` zero. Each 64×64 bit block is gathered and
+/// transposed at once (~6·32 word ops instead of a bit-by-bit scatter).
 // analyze: hot-path
-fn transpose(
-    (limbs, words): (&[u64], usize),
-    k: usize,
-    row_at: impl Fn(usize) -> Option<usize>,
-    mask_words: usize,
-    col_masks: &mut Vec<u64>,
-) {
+fn transpose((limbs, words): (&[u64], usize), dispatch: &[u32], col_masks: &mut Vec<Step>) {
+    let cols = 64 * words;
     col_masks.clear();
-    col_masks.resize(words * 64 * mask_words, 0);
-    let lane = if words == 1 {
-        k.next_power_of_two()
-    } else {
-        64
-    };
-    let lanes = (64 / lane).min(mask_words);
+    col_masks.resize(dispatch.len().div_ceil(64 * STEP) * cols, [0; STEP]);
     let mut block = [0u64; 64];
-    for first in (0..mask_words).step_by(lanes.max(1)) {
-        for col_block in 0..words {
-            for (s, limb) in block.iter_mut().enumerate() {
-                *limb = 0;
-                for l in 0..lanes {
-                    let at = row_at((first + l) * 64 + s).map(|r| r * words + col_block);
-                    *limb |= at.and_then(|i| limbs.get(i)).copied().unwrap_or(0) << (l * lane);
+    for (step, masks) in dispatch
+        .chunks(64 * STEP)
+        .zip(col_masks.chunks_mut(cols.max(1)))
+    {
+        for (i, positions) in step.chunks(64).enumerate() {
+            for (col_block, dst) in masks.chunks_exact_mut(64).enumerate() {
+                block.fill(0);
+                for (limb, &r) in block.iter_mut().zip(positions) {
+                    let at = r as usize * words + col_block;
+                    *limb = limbs.get(at).copied().unwrap_or(0);
                 }
-            }
-            spikemat::bitops::transpose64(&mut block);
-            let filled = lanes.min(mask_words - first);
-            for (l, cols) in block.chunks(lane).take(filled).enumerate() {
-                let dst = col_masks
-                    .iter_mut()
-                    .skip(col_block * 64 * mask_words + first + l);
-                for (mask, &limb) in dst.step_by(mask_words).zip(cols) {
-                    *mask = limb;
+                spikemat::bitops::transpose64(&mut block);
+                for (mask, &limb) in dst.iter_mut().zip(&block) {
+                    if let Some(word) = mask.get_mut(i) {
+                        *word = limb;
+                    }
                 }
             }
         }
     }
 }
 
-/// The pull Pruner of a 193–256-row tile (module docs), writing each
-/// nonzero row's prefix. `rows` is the tile's row-major limbs and their
-/// count per row, `dispatch` the Dispatcher's order and the number of zero
-/// rows leading it, and `col_masks` the tile transposed in
-/// Dispatcher-position space, [`PULL_WORDS`] words per column. `tables`
-/// receives, per 4-column group, the OR of the column masks of each nibble
-/// subset; `position_row` receives the row at position `p` in slot `p + 1`
-/// and [`NO_PREFIX`] in slot 0, so the highest subset position plus one,
-/// or 0 for none, looks up the prefix.
+/// The Pruner (module docs), writing each nonzero row's prefix. `rows` is
+/// the tile's row-major limbs and their count per row, `dispatch` the
+/// Dispatcher's order and the number of zero rows leading it, and
+/// `col_masks` the tile as [`transpose`] lays it out. `tables` receives,
+/// per step and [`GROUP`]-column group, the OR of the column masks of each
+/// subset of the group's columns; `position_row` receives the row at
+/// position `p` in slot `p + 1` and [`NO_PREFIX`] in slot 0, so the
+/// highest subset position plus one, or 0 for none, looks up the prefix.
 // analyze: hot-path
-fn pull_prune(
+fn prune(
     (limbs, words): (&[u64], usize),
-    col_masks: &[u64],
     k: usize,
     (dispatch, zero_rows): (&[u32], usize),
-    (tables, position_row): (&mut Vec<[[u64; PULL_WORDS]; 16]>, &mut Vec<u32>),
+    col_masks: &[Step],
+    (tables, position_row): (&mut Vec<Table>, &mut Vec<u32>),
     prefix: &mut [u32],
 ) {
     position_row.clear();
     position_row.push(NO_PREFIX);
     position_row.extend_from_slice(dispatch);
+    let groups = k.div_ceil(GROUP).max(1);
     tables.clear();
-    tables.resize(k.div_ceil(4), [[0; PULL_WORDS]; 16]);
-    for (table, group) in tables.iter_mut().zip(col_masks.chunks(4 * PULL_WORDS)) {
-        // Entry `s` is the entry without `s`'s lowest column, plus that
-        // column's mask.
-        for s in 1..16 {
-            let (built, rest) = table.split_at_mut(s);
-            let column = 4 * s.trailing_zeros() as usize;
-            let (Some(low), Some(col), Some(entry)) = (
-                built.get(s & (s - 1)),
-                group.get(column..column + PULL_WORDS),
-                rest.first_mut(),
-            ) else {
-                continue;
-            };
-            for ((e, &l), &c) in entry.iter_mut().zip(low).zip(col) {
-                *e = l | c;
+    tables.resize(
+        dispatch.len().div_ceil(64 * STEP) * groups,
+        [[0; STEP]; ENTRIES],
+    );
+    let step_masks = col_masks.chunks((64 * words).max(1));
+    for (step, masks) in tables.chunks_exact_mut(groups).zip(step_masks) {
+        for (table, group) in step.iter_mut().zip(masks.chunks(GROUP)) {
+            // Entry `s` is the entry without `s`'s lowest column, plus that
+            // column's mask.
+            for s in 1..ENTRIES {
+                let (built, rest) = table.split_at_mut(s);
+                let (Some(low), Some(column), Some(entry)) = (
+                    built.get(s & (s - 1)),
+                    group.get(s.trailing_zeros() as usize),
+                    rest.first_mut(),
+                ) else {
+                    continue;
+                };
+                for ((e, &l), &c) in entry.iter_mut().zip(low).zip(column) {
+                    *e = l | c;
+                }
             }
         }
     }
-    // The positions of the nonzero rows visited so far: the candidates.
-    let mut window = [0u64; PULL_WORDS];
-    for (p, &r) in dispatch.iter().enumerate().skip(zero_rows) {
-        let r = r as usize;
-        let row = limbs.get(r * words..).unwrap_or(&[]);
-        let mut outside = [0u64; PULL_WORDS];
-        for (limb_tables, &limb) in tables.chunks(16).zip(row) {
-            let mut absent = !limb;
-            for table in limb_tables {
-                if let Some(entry) = table.get(absent as usize & 15) {
-                    for (o, &e) in outside.iter_mut().zip(entry) {
-                        *o |= e;
-                    }
-                }
-                absent >>= 4;
+    for (q, step) in tables.chunks_exact(groups).enumerate() {
+        let start = 64 * STEP * q;
+        // The nonzero positions of this step visited so far: every later
+        // row's candidates here. Steps ascend in position, so a subset
+        // found in a later step replaces an earlier step's.
+        let mut window = [0u64; STEP];
+        for (p, &r) in dispatch.iter().enumerate().skip(start.max(zero_rows)) {
+            let row = limbs.get(r as usize * words..).unwrap_or(&[]);
+            let slot = subset_slot(step, start, row, window);
+            if let (Some(dst), Some(&found)) = (prefix.get_mut(r as usize), position_row.get(slot))
+            {
+                *dst = if slot != 0 { found } else { *dst };
             }
-        }
-        // The highest candidate subset's position plus one, or 0.
-        let mut slot = 0;
-        for (w, (&o, &win)) in outside.iter().zip(&window).enumerate() {
-            let subsets = !o & win;
-            let top = w * 64 + 64 - subsets.leading_zeros() as usize;
-            slot = if subsets != 0 { top } else { slot };
-        }
-        if let (Some(dst), Some(&src)) = (prefix.get_mut(r), position_row.get(slot)) {
-            *dst = src;
-        }
-        if let Some(w) = window.get_mut(p / 64) {
-            *w |= 1 << (p % 64);
+            if let Some(w) = window.get_mut((p - start) / 64) {
+                *w |= 1 << (p % 64);
+            }
         }
     }
 }
 
-/// The push Pruner of every other tile height (module docs), over
-/// `candidates` (the Dispatcher's order without its zero rows), writing
-/// each claimed row's prefix. `rows` is the tile's row-major limbs and
-/// their count per row, `col_masks` per column the row mask of the rows
-/// spiking there. `masks` is two zeroed row masks back to back:
-/// `unclaimed`, the rows that outrank the candidate and have no prefix yet
-/// (the only rows it may claim), and the candidate's `supersets`.
-///
-/// Only rows visited before `j` outrank it, so the first candidate to
-/// reach an unclaimed visited superset is exactly the staged pipeline's
-/// selected prefix. supersets(j) = unclaimed ∩ over `j`'s one-columns of
-/// that column's row mask; `j` joins the unclaimed rows after its own
-/// visit.
+/// The highest position among `candidates` that holds a subset of `row`,
+/// plus one, or 0 for none, querying one step's `tables` whose first
+/// position is `start`: a position outside the subsets has a bit in a
+/// column the row lacks, so it is in the row's complement's table entry
+/// for some group.
 // analyze: hot-path
-fn prune(
-    (limbs, words): (&[u64], usize),
-    col_masks: &[u64],
-    candidates: &[u32],
-    masks: &mut [u64],
-    prefix: &mut [u32],
-) {
-    let mw = masks.len() / 2;
-    let (unclaimed, supersets) = masks.split_at_mut(mw);
-    'candidates: for &j in candidates.iter().rev() {
-        let j = j as usize;
-        supersets.copy_from_slice(unclaimed);
-        if let Some(free) = unclaimed.get_mut(j / 64) {
-            *free |= 1 << (j % 64);
-        }
-        let row = limbs.get(j * words..(j + 1) * words).unwrap_or(&[]);
-        for (w, &limb) in row.iter().enumerate() {
-            let mut cols = limb;
-            while cols != 0 {
-                let c = w * 64 + cols.trailing_zeros() as usize;
-                cols &= cols - 1;
-                let mask = col_masks.get(c * mw..(c + 1) * mw).unwrap_or(&[]);
-                let mut any = 0;
-                for (s, &m) in supersets.iter_mut().zip(mask) {
-                    *s &= m;
-                    any |= *s;
-                }
-                if any == 0 {
-                    continue 'candidates;
+fn subset_slot(tables: &[Table], start: usize, row: &[u64], candidates: Step) -> usize {
+    let mut outside = [0u64; STEP];
+    for (limb_tables, &limb) in tables.chunks(64 / GROUP).zip(row) {
+        let mut absent = !limb;
+        for table in limb_tables {
+            if let Some(entry) = table.get(absent as usize % ENTRIES) {
+                for (o, &e) in outside.iter_mut().zip(entry) {
+                    *o |= e;
                 }
             }
-        }
-        for (w, (&claimed, free)) in supersets.iter().zip(unclaimed.iter_mut()).enumerate() {
-            *free &= !claimed;
-            let mut bits = claimed;
-            while bits != 0 {
-                if let Some(p) = prefix.get_mut(w * 64 + bits.trailing_zeros() as usize) {
-                    *p = j as u32;
-                }
-                bits &= bits - 1;
-            }
+            absent >>= GROUP;
         }
     }
+    let mut slot = 0;
+    for (i, (&o, &c)) in outside.iter().zip(&candidates).enumerate() {
+        let subsets = !o & c;
+        let top = start + 64 * (i + 1) - subsets.leading_zeros() as usize;
+        slot = if subsets != 0 { top } else { slot };
+    }
+    slot
 }
 
 /// The complete ProSparsity meta information for one spiking GeMM.
@@ -964,10 +904,10 @@ mod tests {
         }
     }
 
-    /// Every Pruner arm against the staged oracle, on both sides of the
-    /// 4-mask-word pull arm (193–256 rows) and across pattern-limb
-    /// boundaries. One scratch is threaded through every shape, so it also
-    /// switches arms; the key-fed planner must equal [`TileMeta::build`].
+    /// The Pruner against the staged oracle across mask-word and
+    /// pattern-limb boundaries. One scratch is threaded through every
+    /// shape, so each tile reuses buffers sized by the one before it; the
+    /// key-fed planner must equal [`TileMeta::build`].
     #[test]
     fn pruner_arms_match_the_staged_oracle() {
         use crate::detect::detect_tile;
@@ -1000,48 +940,11 @@ mod tests {
         }
     }
 
-    /// The push Pruner's prefixes for a tile of any height, given as its
-    /// key: what [`build_tile_meta`] computes outside the pull arm.
-    fn push_prefixes(key: &[u64], m: usize, k: usize) -> Vec<u32> {
-        let words = k.div_ceil(64);
-        let popcounts: Vec<usize> = (0..m)
-            .map(|r| {
-                key[r * words..(r + 1) * words]
-                    .iter()
-                    .map(|l| l.count_ones() as usize)
-                    .sum()
-            })
-            .collect();
-        let (mut buckets, mut dispatch) = (Vec::new(), Vec::new());
-        counting_pass(
-            0..m as u32,
-            |r| popcounts[r],
-            k + 1,
-            &mut buckets,
-            &mut dispatch,
-        );
-        let zero_rows = popcounts.iter().filter(|&&p| p == 0).count();
-        let mask_words = m.div_ceil(64);
-        let mut col_masks = Vec::new();
-        transpose((key, words), k, Some, mask_words, &mut col_masks);
-        let mut prefix = vec![NO_PREFIX; m];
-        let mut masks = vec![0; 2 * mask_words];
-        prune(
-            (key, words),
-            &col_masks,
-            &dispatch[zero_rows..],
-            &mut masks,
-            &mut prefix,
-        );
-        prefix
-    }
-
-    /// The pull arm (193–256 rows) against the push Pruner on the same
-    /// tile and against the staged oracle, on random, duplicate-heavy,
+    /// The Pruner against the staged oracle on random, duplicate-heavy,
     /// all-identical, single-bit, all-zero and ragged tiles, across one to
-    /// three pattern limbs.
+    /// five mask words and one to three pattern limbs.
     #[test]
-    fn pull_and_push_pruners_agree_across_the_pull_band() {
+    fn pruner_matches_the_staged_oracle_on_edge_tiles() {
         use crate::detect::detect_tile;
         use crate::prune::prune_tile;
         use rand::rngs::StdRng;
@@ -1050,11 +953,12 @@ mod tests {
         let (mut scratch, mut key) = (PlanScratch::new(), Vec::new());
         for k in [1, 3, 4, 5, 16, 17, 63, 64, 65, 140] {
             for rep in 0..3 {
-                // The first tile is full height: a 256-deep identical chain.
+                // The first tile is the paper's 256 rows high: a 256-deep
+                // identical chain.
                 let m = if rep == 0 {
                     256
                 } else {
-                    rng.gen_range(193..=256)
+                    rng.gen_range(1..=300)
                 };
                 let mut identical = SpikeMatrix::random(1, k, 0.5, &mut rng).row(0).clone();
                 identical.set(k - 1, true);
@@ -1094,7 +998,6 @@ mod tests {
                     source.tile_key_into(row_start, col_start, m, k, &mut key);
                     let tile = source.submatrix(row_start, col_start, m, k);
                     let (meta, _) = build_tile_meta(&key, m, k, &mut scratch);
-                    assert_eq!(meta.prefix, push_prefixes(&key, m, k), "{what}");
                     let pruned = prune_tile(&tile, &detect_tile(&tile));
                     assert_eq!(meta.rows().collect::<Vec<_>>(), pruned, "{what}");
                 }
@@ -1225,8 +1128,8 @@ mod tests {
                 )
             })
             .collect();
-        // 256-row tiles take the pull Pruner, 300- and 16-row tiles the
-        // push one, so each switch reuses the other's buffers.
+        // 256-, 300- and 16-row tiles need 4, 5 and 1 mask words, so each
+        // switch reuses buffers sized for another height.
         let tall = SpikeMatrix::random(600, 40, 0.3, &mut rng);
         for rows in [256, 300, 16, 256, 16, 300, 256] {
             cases.push((tall.clone(), TileShape::new(rows, 16)));

@@ -109,10 +109,10 @@ fn duplicate_heavy_tile(rng: &mut StdRng, m: usize, k: usize) -> SpikeMatrix {
 
 #[test]
 fn fused_tile_meta_matches_staged_pipeline() {
-    // TileMeta::build fuses Detector + Pruner into a word-parallel scan
-    // (pull for 193–256 rows, push otherwise) and orders rows with a
-    // counting sort; it must select exactly the staged pipeline's
-    // prefixes, kinds and patterns, and the stable sort's order.
+    // TileMeta::build fuses Detector + Pruner into one subset query per
+    // row and orders rows with a counting sort; it must select exactly
+    // the staged pipeline's prefixes, kinds and patterns, and the stable
+    // sort's order.
     // Up to 300 × 140 tiles span several mask words and pattern limbs.
     let mut rng = StdRng::seed_from_u64(5);
     for trial in 0..128 {
