@@ -124,8 +124,8 @@ fn denied_under_lock(s: &Scoped, j: usize) -> Option<&'static str> {
         "rename",
     ];
     // Qualified-only file IO names: too generic to deny bare (atomics have
-    // `.load(...)`/`.store(...)`), but `fs::read`, `File::open`,
-    // `PlanSnapshot::load` are the real thing.
+    // `.load(...)`/`.store(...)`), but `fs::read` and `File::open` are the
+    // real thing.
     const FILE_IO_QUALIFIED: [&str; 7] = [
         "load",
         "read",

@@ -13,11 +13,10 @@ use prosperity_core::ProSparsityPlan;
 use prosperity_models::{TraceGen, TraceGenParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use spikemat::TileShape;
 
 /// One LoAS-pruned model of Table V.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoasModel {
     /// Model name.
     pub name: &'static str,
@@ -64,7 +63,7 @@ pub fn table5_models() -> [LoasModel; 3] {
 }
 
 /// Measured Table V row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoasResult {
     /// Model name.
     pub name: &'static str,

@@ -1,9 +1,7 @@
 //! Common performance-result type for baseline accelerators.
 
-use serde::{Deserialize, Serialize};
-
 /// Simulated performance of one model inference on a baseline accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BaselinePerf {
     /// Accelerator name (e.g. `"PTB"`).
     pub name: String,

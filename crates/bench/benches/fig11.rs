@@ -25,11 +25,11 @@ fn main() {
     rule(72);
     let mut reductions = Vec::new();
     let mut fs_ratios = Vec::new();
-    let results: Vec<(String, f64, f64, f64)> = crossbeam::thread::scope(|scope| {
+    let results: Vec<(String, f64, f64, f64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = workloads
             .iter()
             .map(|w| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let trace = w.generate_trace(s);
                     let mut bit = 0u64;
                     let mut pro = 0u64;
@@ -51,8 +51,7 @@ fn main() {
             .into_iter()
             .map(|h| h.join().expect("workload thread panicked"))
             .collect()
-    })
-    .expect("crossbeam scope");
+    });
 
     for (name, bit_d, fs_d, pro_d) in &results {
         println!(

@@ -17,11 +17,11 @@ fn main() {
     let s = scale();
 
     let mut results: Vec<Ensemble> = Vec::with_capacity(workloads.len());
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = workloads
             .iter()
             .map(|w| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let trace = w.generate_trace(s);
                     run_ensemble(&w.name(), &trace)
                 })
@@ -30,8 +30,7 @@ fn main() {
         for h in handles {
             results.push(h.join().expect("workload thread panicked"));
         }
-    })
-    .expect("crossbeam scope");
+    });
 
     println!(
         "{:<22} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}",

@@ -23,11 +23,11 @@ fn main() {
     let workloads = Workload::fig8_suite();
 
     let mut vs_dense = vec![Vec::new(); 4]; // ptb, bit, slow, full
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = workloads
             .iter()
             .map(|w| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let trace = w.generate_trace(s);
                     let dense = Eyeriss::default().simulate(&trace).time_s;
                     let ptb = Ptb::default().simulate(&trace).time_s;
@@ -50,8 +50,7 @@ fn main() {
             vs_dense[2].push(c);
             vs_dense[3].push(d);
         }
-    })
-    .expect("crossbeam scope");
+    });
 
     let g: Vec<f64> = vs_dense.iter().map(|v| geomean(v)).collect();
     println!(

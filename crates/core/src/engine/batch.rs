@@ -31,7 +31,7 @@
 //!
 //! **Scheduling quantum.** Every scheduler visit is one
 //! [`Session::gemm_slice`] call. By default its quantum is 0, which runs
-//! the whole GeMM. With [`BatchScheduler::set_slice_quantum`] the quantum
+//! the whole GeMM. With [`BatchScheduler::with_slice_quantum`] the quantum
 //! drops below the GeMM: a visit executes at most that many *row-tiles*
 //! via the session's resumable cursor, then yields — so every policy can
 //! preempt a monster GeMM mid-flight, and `Weighted`/`Deadline` charge
@@ -298,18 +298,6 @@ impl<T: Element> BatchScheduler<T> {
         }
     }
 
-    /// Builder form of [`BatchScheduler::set_slice_quantum`].
-    #[must_use]
-    pub fn with_slice_quantum(mut self, quantum: usize) -> Self {
-        self.slice_quantum = quantum;
-        self
-    }
-
-    /// The scheduling quantum in row-tiles (0 = whole GeMMs).
-    pub fn slice_quantum(&self) -> usize {
-        self.slice_quantum
-    }
-
     /// Sets the scheduling quantum: each scheduler visit executes at most
     /// `quantum` row-tiles of the chosen lane's current GeMM (resuming it
     /// across visits via the session's [`Session::gemm_slice`] cursor), or
@@ -323,9 +311,16 @@ impl<T: Element> BatchScheduler<T> {
     /// global clock that `Deadline` budgets and
     /// [`SchedulerStats::completion_steps`] are denominated in counts
     /// scheduler visits, so with `quantum > 0` those units shrink from
-    /// whole GeMMs to slices. Takes effect at the next scheduler visit.
-    pub fn set_slice_quantum(&mut self, quantum: usize) {
+    /// whole GeMMs to slices.
+    #[must_use]
+    pub fn with_slice_quantum(mut self, quantum: usize) -> Self {
         self.slice_quantum = quantum;
+        self
+    }
+
+    /// The scheduling quantum in row-tiles (0 = whole GeMMs).
+    pub fn slice_quantum(&self) -> usize {
+        self.slice_quantum
     }
 
     /// [`BatchScheduler::new`] pre-warmed from a snapshot exported by a
@@ -353,11 +348,6 @@ impl<T: Element> BatchScheduler<T> {
     /// The scheduling policy.
     pub fn policy(&self) -> &BatchPolicy {
         &self.policy
-    }
-
-    /// Switches the scheduling policy (takes effect on the next run).
-    pub fn set_policy(&mut self, policy: BatchPolicy) {
-        self.policy = policy;
     }
 
     /// The shared plan cache all lanes plan through.
@@ -413,8 +403,7 @@ impl<T: Element> BatchScheduler<T> {
     /// ids. The shared plan cache (the expensive state) stays warm either
     /// way; only per-lane session state is rebuilt.
     pub fn begin_batch(&mut self) {
-        self.sessions.clear();
-        self.quarantine.clear();
+        self.begin_batch_as(&[]);
     }
 
     /// The recorded faults of currently quarantined lanes, in lane order.
@@ -422,13 +411,6 @@ impl<T: Element> BatchScheduler<T> {
     /// [`BatchScheduler::begin_batch`].
     pub fn quarantined(&self) -> Vec<LaneFault> {
         self.quarantine.iter().flatten().cloned().collect()
-    }
-
-    /// Whether `lane` is quarantined after a caught panic (such a lane is
-    /// skipped by [`BatchScheduler::run`] until the next
-    /// [`BatchScheduler::begin_batch`]).
-    pub fn is_quarantined(&self, lane: usize) -> bool {
-        self.quarantine.get(lane).is_some_and(Option::is_some)
     }
 
     /// [`BatchScheduler::begin_batch`] with an explicit tenant id per lane:
@@ -441,20 +423,27 @@ impl<T: Element> BatchScheduler<T> {
         self.quarantine.clear();
         for &tenant in tenants {
             self.next_tenant = self.next_tenant.max(tenant.saturating_add(1));
-            self.sessions.push(Session::with_shared_tenant(
-                self.config,
-                Arc::clone(&self.shared),
-                tenant,
-            ));
-        }
-        while self.outs.len() < self.sessions.len() {
-            self.outs.push(OutputMatrix::zeros(0, 0));
+            self.push_lane(tenant);
         }
     }
 
     /// The admission tenant id each current lane serves, in lane order.
     pub fn tenants(&self) -> Vec<u64> {
         self.sessions.iter().map(Session::tenant).collect()
+    }
+
+    /// Appends one lane serving `tenant` through the shared cache. Output
+    /// buffers outlive `begin_batch`, so a new lane reuses a pooled one
+    /// when the previous batch left it behind.
+    fn push_lane(&mut self, tenant: u64) {
+        self.sessions.push(Session::with_shared_tenant(
+            self.config,
+            Arc::clone(&self.shared),
+            tenant,
+        ));
+        if self.outs.len() < self.sessions.len() {
+            self.outs.push(OutputMatrix::zeros(0, 0));
+        }
     }
 
     pub(crate) fn ensure_lanes(&mut self, n: usize) {
@@ -465,14 +454,7 @@ impl<T: Element> BatchScheduler<T> {
             // `begin_batch` can never alias a previous batch's windows.
             let tenant = self.next_tenant;
             self.next_tenant += 1;
-            self.sessions.push(Session::with_shared_tenant(
-                self.config,
-                Arc::clone(&self.shared),
-                tenant,
-            ));
-        }
-        while self.outs.len() < n {
-            self.outs.push(OutputMatrix::zeros(0, 0));
+            self.push_lane(tenant);
         }
         if self.quarantine.len() < n {
             self.quarantine.resize_with(n, || None);
@@ -999,7 +981,7 @@ mod tests {
         drop(guard);
         // Lane 1 never reached the sink; the survivors ran every step.
         assert_eq!(seen, vec![2, 0, 2]);
-        assert!(sched.is_quarantined(1));
+        assert!(sched.quarantined().iter().any(|f| f.lane == 1));
         let faults = sched.quarantined();
         assert_eq!((faults[0].lane, faults[0].step), (1, 0));
         assert!(faults[0].reason.contains("injected fault"));
@@ -1105,7 +1087,7 @@ mod tests {
         assert!(guard.fired().lane_panic, "worker thread adopted the plan");
         drop(guard);
         assert_eq!(*seen.lock().unwrap(), vec![2, 2, 1]);
-        assert!(sched.is_quarantined(2));
+        assert!(sched.quarantined().iter().any(|f| f.lane == 2));
         assert_eq!(sched.quarantined()[0].step, 1);
         assert_eq!(sched.scheduler_stats().lane_faults, 1);
         // The next serial run skips the quarantined lane.

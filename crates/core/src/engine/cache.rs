@@ -18,7 +18,6 @@
 //! construction.
 
 use crate::plan::TileMeta;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -93,7 +92,7 @@ type PassThroughState = std::hash::BuildHasherDefault<PassThroughHasher>;
 /// for a sparse probe stream (every [`AdmissionConfig::probe_period`]-th
 /// miss), which keeps enough fresh plans resident that a stream turning
 /// correlated again is detected and admission re-opens on a later window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Lookups per estimation window.
     pub window: u32,

@@ -43,7 +43,7 @@ pub struct FaultPlan {
     pub lane_panic: Option<(usize, usize)>,
     /// Fire the lane panic on the `n`th (0-based) scheduler *visit* of its
     /// `(lane, step)` target instead of the first. Under a sub-GeMM
-    /// [`slice_quantum`](super::BatchScheduler::set_slice_quantum) the
+    /// [`slice_quantum`](super::BatchScheduler::with_slice_quantum) the
     /// scheduler revisits the same trace step once per slice, so a
     /// positive `n` lands the panic mid-GeMM — after `n` slices already
     /// executed. 0 (the default, and the only sensible value for

@@ -39,6 +39,9 @@ use super::{Element, EngineConfig};
 /// binary search over a few hundred points for realistic fleet sizes.
 pub const VNODES: usize = 64;
 
+/// Snapshot files each [`FleetHarness`] node store retains.
+const NODE_RETENTION: usize = 4;
+
 /// SplitMix64 finalizer — the same mixer the fault plans use; good
 /// avalanche, no allocation, stable across platforms.
 fn splitmix64(mut x: u64) -> u64 {
@@ -200,8 +203,6 @@ pub struct FleetHarness<T = i64> {
     /// Per-node cadence template; `gossip_peers` is managed by the
     /// harness, the rest (snapshot/GC/gossip cadences) applies verbatim.
     service: ServiceConfig,
-    /// Snapshot files retained per node store.
-    retention: usize,
     ring: Ring,
     nodes: Vec<FleetNode<T>>,
 }
@@ -222,16 +223,9 @@ impl<T: Element> FleetHarness<T> {
             config,
             policy,
             service,
-            retention: 4,
             ring: Ring::new(),
             nodes: Vec::new(),
         }
-    }
-
-    /// Builder: snapshot files retained per node store (default 4).
-    pub fn with_retention(mut self, retention: usize) -> Self {
-        self.retention = retention;
-        self
     }
 
     /// The store directory node `id` exports to under `root` — the single
@@ -264,7 +258,7 @@ impl<T: Element> FleetHarness<T> {
             return Ok(false);
         }
         let dir = Self::store_dir(&self.root, id);
-        let store = Arc::new(SnapshotStore::new(&dir, self.retention)?);
+        let store = Arc::new(SnapshotStore::new(&dir, NODE_RETENTION)?);
         let mut service = self.service.clone();
         service.gossip_peers = self.nodes.iter().map(|node| node.dir.clone()).collect();
         let serving = ServingLoop::new(self.config, self.policy.clone(), service)

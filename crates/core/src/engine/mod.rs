@@ -103,7 +103,6 @@ pub use snapshot::{ImportReport, PlanSnapshot, SnapshotError};
 pub use stats::{EngineStats, SchedulerStats, SharedCacheStats};
 pub use store::SnapshotStore;
 
-use serde::{Deserialize, Serialize};
 use spikemat::gemm::OutputMatrix;
 use spikemat::{SpikeMatrix, TileShape};
 use std::ops::AddAssign;
@@ -114,7 +113,7 @@ pub trait Element: Copy + Default + AddAssign + Send + Sync + 'static {}
 impl<T: Copy + Default + AddAssign + Send + Sync + 'static> Element for T {}
 
 /// Session construction parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Accelerator tile geometry every GeMM is decomposed under.
     pub tile: TileShape,

@@ -27,7 +27,7 @@
 //! bit-identity property the whole runtime is tested for.
 //!
 //! Attaching a [`SnapshotStore`]
-//! ([`ServingLoop::set_snapshot_store`]) additionally *persists* each
+//! ([`ServingLoop::with_snapshot_store`]) additionally *persists* each
 //! export: the background thread writes the snapshot through the store's
 //! atomic, retried, retention-pruned path before handing it to
 //! [`ServingLoop::take_snapshots`]. Persistence failures never reach the
@@ -208,8 +208,8 @@ impl GossipPeer {
 /// A [`BatchScheduler`] wrapped with the long-running-process jobs:
 /// step-cadence background snapshot export and admission-table GC.
 ///
-/// The loop owns the scheduler — [`ServingLoop::scheduler_mut`] exposes it
-/// for policy switches or warm starts — and serves batches through
+/// The loop owns the scheduler ([`ServingLoop::scheduler`] reads it) and
+/// serves batches through
 /// [`ServingLoop::run`] (lanes persist, same-tenant replay) or
 /// [`ServingLoop::run_batch`]/[`run_batch_as`](ServingLoop::run_batch_as)
 /// (fresh lanes per batch — the tenant-churn shape the GC exists for).
@@ -302,19 +302,9 @@ impl<T: Element> ServingLoop<T> {
     /// is also persisted through it (crash-safe, retried, pruned to the
     /// store's retention). The handle is shared so callers can read the
     /// store's counters and files while the loop serves.
-    pub fn set_snapshot_store(&mut self, store: Arc<SnapshotStore>) {
-        self.store = Some(store);
-    }
-
-    /// Builder form of [`ServingLoop::set_snapshot_store`].
     pub fn with_snapshot_store(mut self, store: Arc<SnapshotStore>) -> Self {
-        self.set_snapshot_store(store);
+        self.store = Some(store);
         self
-    }
-
-    /// The attached snapshot store, if any.
-    pub fn snapshot_store(&self) -> Option<&Arc<SnapshotStore>> {
-        self.store.as_ref()
     }
 
     /// The lifecycle cadences.
@@ -325,12 +315,6 @@ impl<T: Element> ServingLoop<T> {
     /// The wrapped scheduler.
     pub fn scheduler(&self) -> &BatchScheduler<T> {
         &self.sched
-    }
-
-    /// Mutable access to the wrapped scheduler (policy switches,
-    /// `begin_batch`, warm starts).
-    pub fn scheduler_mut(&mut self) -> &mut BatchScheduler<T> {
-        &mut self.sched
     }
 
     /// The shared plan cache all lanes plan through.

@@ -58,61 +58,6 @@ struct StepCursor {
     active: bool,
 }
 
-/// Cached geometry of the last [`Session::forward_chain`] call: the
-/// validated layer dimensions, so repeated chain executions (the serving
-/// steady state) compare a few integers instead of re-deriving and
-/// re-asserting every layer's shape inside the hot loop.
-#[derive(Debug, Default)]
-struct ChainLayout {
-    input_k: usize,
-    /// `(k, n)` per layer, in chain order.
-    dims: Vec<(usize, usize)>,
-}
-
-impl ChainLayout {
-    /// Whether the cached layout covers exactly this input/layer geometry.
-    fn matches<T: Copy>(&self, input: &SpikeMatrix, layers: &[WeightMatrix<T>]) -> bool {
-        self.input_k == input.cols()
-            && self.dims.len() == layers.len()
-            && self
-                .dims
-                .iter()
-                .zip(layers)
-                .all(|(&(k, n), w)| k == w.rows() && n == w.cols())
-    }
-
-    /// Validates the chain once (input matches layer 0, adjacent layers
-    /// chain) and caches its dimensions.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any geometry mismatch.
-    fn rebuild<T: Copy>(&mut self, input: &SpikeMatrix, layers: &[WeightMatrix<T>]) {
-        assert_eq!(
-            input.cols(),
-            layers[0].rows(),
-            "forward_chain: input K={} does not match weight rows {}",
-            input.cols(),
-            layers[0].rows()
-        );
-        for (i, pair) in layers.windows(2).enumerate() {
-            assert_eq!(
-                pair[0].cols(),
-                pair[1].rows(),
-                "forward_chain: layer {} output N={} does not chain into layer {} K={}",
-                i,
-                pair[0].cols(),
-                i + 1,
-                pair[1].rows()
-            );
-        }
-        self.input_k = input.cols();
-        self.dims.clear();
-        self.dims
-            .extend(layers.iter().map(|w| (w.rows(), w.cols())));
-    }
-}
-
 /// A reusable end-to-end execution session: plan cache, planner scratch, and
 /// buffer pools that persist across GeMMs, layers, and timesteps.
 ///
@@ -157,13 +102,11 @@ pub struct Session<T = i64> {
     /// Sliced-execution position within the current GeMM.
     cursor: StepCursor,
     pool: BufferPool<T>,
-    /// Pooled output recycled by [`Session::run_layers`] / chaining.
+    /// Pooled layer output recycled by [`Session::forward_chain`].
     chain_out: OutputMatrix<T>,
     /// Spike-chain ping-pong buffers for [`Session::forward_chain`].
     chain_a: SpikeMatrix,
     chain_b: SpikeMatrix,
-    /// Validated geometry of the last chain call.
-    chain_layout: ChainLayout,
     stats: EngineStats,
 }
 
@@ -251,7 +194,6 @@ impl<T: Element> Session<T> {
             chain_out: OutputMatrix::zeros(0, 0),
             chain_a: SpikeMatrix::zeros(0, 0),
             chain_b: SpikeMatrix::zeros(0, 0),
-            chain_layout: ChainLayout::default(),
             stats: EngineStats::default(),
         }
     }
@@ -325,14 +267,6 @@ impl<T: Element> Session<T> {
     /// (for a shared cache: all sessions' plans).
     pub fn cached_plans(&self) -> usize {
         self.cache.as_ref().map_or(0, |c| c.len())
-    }
-
-    /// Drops every cached plan (capacity is unchanged). On a shared cache
-    /// this clears the plans of *every* session sharing it.
-    pub fn clear_cache(&mut self) {
-        if let Some(c) = &self.cache {
-            c.clear();
-        }
     }
 
     /// Plans one spike matrix through the tile cache, leaving the placed
@@ -526,7 +460,7 @@ impl<T: Element> Session<T> {
         out: &mut OutputMatrix<T>,
     ) {
         if !self.cursor.active {
-            self.gemm_prepare(spikes, weights, out, true);
+            self.gemm_prepare(spikes, weights, out);
             self.cursor = StepCursor {
                 next_row_tile: 0,
                 row_tiles: self.planned_row_tiles(),
@@ -570,26 +504,19 @@ impl<T: Element> Session<T> {
     }
 
     /// Shared plan + output-shape phase of the `gemm_into*` entry points.
-    /// `check_dims` is false only on chain-internal calls whose geometry
-    /// the cached [`ChainLayout`] already validated.
     fn gemm_prepare(
         &mut self,
         spikes: &SpikeMatrix,
         weights: &WeightMatrix<T>,
         out: &mut OutputMatrix<T>,
-        check_dims: bool,
     ) {
-        if check_dims {
-            assert_eq!(
-                spikes.cols(),
-                weights.rows(),
-                "engine: spike K={} does not match weight rows {}",
-                spikes.cols(),
-                weights.rows()
-            );
-        } else {
-            debug_assert_eq!(spikes.cols(), weights.rows());
-        }
+        assert_eq!(
+            spikes.cols(),
+            weights.rows(),
+            "engine: spike K={} does not match weight rows {}",
+            spikes.cols(),
+            weights.rows()
+        );
         debug_assert!(
             !self.cursor.active,
             "planning a new GeMM while a sliced GeMM is in flight \
@@ -684,33 +611,11 @@ impl<T: Element> Session<T> {
         self.pool.put_arena(arena);
     }
 
-    /// Executes a stream of recorded `(spikes, weights)` GeMMs — e.g. the
-    /// layers of a model trace — through one pooled output buffer. `sink`
-    /// observes each layer's output before the buffer is recycled for the
-    /// next layer.
-    pub fn run_layers<'a, I, F>(&mut self, layers: I, mut sink: F)
-    where
-        T: 'a,
-        I: IntoIterator<Item = (&'a SpikeMatrix, &'a WeightMatrix<T>)>,
-        F: FnMut(usize, &OutputMatrix<T>),
-    {
-        let mut out = std::mem::take(&mut self.chain_out);
-        for (i, (spikes, weights)) in layers.into_iter().enumerate() {
-            self.gemm_into(spikes, weights, &mut out);
-            sink(i, &out);
-        }
-        self.chain_out = out;
-    }
-
     /// Runs a feed-forward chain: layer `ℓ`'s integer output is thresholded
     /// (`v >= threshold` fires) into the spike input of layer `ℓ+1`, using
     /// the session's pooled ping-pong buffers, and the final layer's spikes
     /// are left in `out_spikes` (resized in place). No steady-state
     /// allocation once the pools are warm.
-    ///
-    /// Chain geometry is validated once and cached in a `ChainLayout`;
-    /// repeated calls with the same layer shapes (the serving steady state)
-    /// skip per-layer shape re-derivation inside the hot loop.
     ///
     /// # Panics
     ///
@@ -726,22 +631,30 @@ impl<T: Element> Session<T> {
         T: PartialOrd,
     {
         assert!(!layers.is_empty(), "forward_chain needs at least one layer");
-        if !self.chain_layout.matches(input, layers) {
-            let mut layout = std::mem::take(&mut self.chain_layout);
-            layout.rebuild(input, layers);
-            self.chain_layout = layout;
+        assert_eq!(
+            input.cols(),
+            layers[0].rows(),
+            "forward_chain: input K={} does not match weight rows {}",
+            input.cols(),
+            layers[0].rows()
+        );
+        for (i, pair) in layers.windows(2).enumerate() {
+            assert_eq!(
+                pair[0].cols(),
+                pair[1].rows(),
+                "forward_chain: layer {} output N={} does not chain into layer {} K={}",
+                i,
+                pair[0].cols(),
+                i + 1,
+                pair[1].rows()
+            );
         }
         let mut acc = std::mem::take(&mut self.chain_out);
         let mut ping = std::mem::take(&mut self.chain_a);
         let mut pong = std::mem::take(&mut self.chain_b);
         for (i, weights) in layers.iter().enumerate() {
-            {
-                let src: &SpikeMatrix = if i == 0 { input } else { &ping };
-                self.gemm_prepare(src, weights, &mut acc, false);
-                self.timed_execute(|s| {
-                    s.execute_slice(weights, &mut acc, 0, s.planned_row_tiles())
-                });
-            }
+            let src: &SpikeMatrix = if i == 0 { input } else { &ping };
+            self.gemm_into(src, weights, &mut acc);
             super::threshold_spikes(&acc, threshold, &mut pong);
             std::mem::swap(&mut ping, &mut pong);
         }

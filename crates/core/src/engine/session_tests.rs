@@ -176,21 +176,6 @@ fn admission_bypass_keeps_results_exact() {
 }
 
 #[test]
-fn run_layers_recycles_one_output_buffer() {
-    let mut rng = StdRng::seed_from_u64(17);
-    let layers: Vec<(SpikeMatrix, WeightMatrix<i64>)> =
-        (0..4).map(|_| random_case(&mut rng)).collect();
-    let mut engine = Session::<i64>::default();
-    let mut seen = 0;
-    engine.run_layers(layers.iter().map(|(s, w)| (s, w)), |i, out| {
-        assert_eq!(out, &spiking_gemm(&layers[i].0, &layers[i].1));
-        seen += 1;
-    });
-    assert_eq!(seen, 4);
-    assert_eq!(engine.stats().gemms, 4);
-}
-
-#[test]
 fn forward_chain_matches_manual_loop() {
     let mut rng = StdRng::seed_from_u64(18);
     let input = SpikeMatrix::random(24, 12, 0.35, &mut rng);
@@ -214,8 +199,7 @@ fn forward_chain_matches_manual_loop() {
         cur = next;
     }
     assert_eq!(got, cur);
-    // A second pass through the warmed engine (and cached ChainLayout)
-    // is identical.
+    // A second pass through the warmed engine is identical.
     let mut again = SpikeMatrix::zeros(0, 0);
     engine.forward_chain(&input, &layers, threshold, &mut again);
     assert_eq!(again, cur);

@@ -17,9 +17,8 @@
 //! lanes.
 //!
 //! The codec follows the `trace_io` style: a hand-rolled little-endian
-//! layout over [`bytes`], no `serde` on the hot types, and decode paths
-//! that fail cleanly (never panic) on truncated, corrupt, or
-//! version-skewed input. Restores are *exact*: an imported entry is
+//! layout over [`bytes`], and decode paths that fail cleanly (never
+//! panic) on truncated, corrupt, or version-skewed input. Restores are *exact*: an imported entry is
 //! bit-identical to the exported one — same key limbs, same
 //! [`TileMeta`] down to the packed pattern limbs —
 //! so a warm-started cache serves exactly the plans the original process
@@ -268,21 +267,6 @@ impl PlanSnapshot {
         }
         Ok(Self { entries })
     }
-
-    /// Writes [`PlanSnapshot::encode`]'s bytes to a file — atomically: the
-    /// bytes land in `<path>.tmp` (written, then fsynced) and are renamed
-    /// into place, so a crash mid-save can never leave a torn snapshot at
-    /// `path`. Readers see either the previous complete file or the new
-    /// complete one; a failed save cleans up its temp file.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), SnapshotError> {
-        atomic_write(path.as_ref(), &self.encode()).map_err(|e| SnapshotError::Io(e.to_string()))
-    }
-
-    /// Reads and decodes a snapshot file written by [`PlanSnapshot::save`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Self::decode(Bytes::from(bytes))
-    }
 }
 
 /// Smallest possible encoded entry (all counts zero) — bounds the upfront
@@ -293,8 +277,8 @@ const MIN_ENTRY_BYTES: usize = 8 + 8 + 4 + 8 + 8 + 4 + 4 + 4 + 4 + 4;
 /// fsynced), then rename into place — the POSIX atomic-replace idiom, so a
 /// crash at any point leaves either the previous complete file or the new
 /// complete one at `path`, never a torn mix. A failed write removes its
-/// temp file (best effort). Shared by [`PlanSnapshot::save`] and the
-/// [`SnapshotStore`](super::SnapshotStore); every filesystem operation
+/// temp file (best effort). The [`SnapshotStore`](super::SnapshotStore)
+/// writes every snapshot file through it; every filesystem operation
 /// passes through the fault-injection [`io_fault`] hook.
 pub(crate) fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
@@ -907,19 +891,8 @@ mod tests {
         assert_eq!(warm.cached_plans(), snap.len());
     }
 
-    #[test]
-    fn save_and_load_roundtrip_through_a_file() {
-        let (engine, _) = warm_session(0xF1, 64);
-        let snap = engine.export_snapshot(8);
-        let path = std::env::temp_dir().join("prosperity_snapshot_test.psnp");
-        snap.save(&path).expect("save");
-        let loaded = PlanSnapshot::load(&path).expect("load");
-        assert_eq!(loaded.len(), snap.len());
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(
-            PlanSnapshot::load(&path),
-            Err(SnapshotError::Io(_))
-        ));
+    fn read_file(path: &std::path::Path) -> Bytes {
+        Bytes::from(std::fs::read(path).expect("read snapshot file"))
     }
 
     #[test]
@@ -933,13 +906,13 @@ mod tests {
         for cut in 0..bytes.len() {
             std::fs::write(&path, &bytes[..cut]).expect("write truncated file");
             assert!(
-                PlanSnapshot::load(&path).is_err(),
+                PlanSnapshot::decode(read_file(&path)).is_err(),
                 "file cut at {cut}/{} must fail to load",
                 bytes.len()
             );
         }
         std::fs::write(&path, &bytes[..]).expect("write full file");
-        assert!(PlanSnapshot::load(&path).is_ok());
+        assert!(PlanSnapshot::decode(read_file(&path)).is_ok());
         std::fs::remove_file(&path).ok();
     }
 
@@ -956,23 +929,24 @@ mod tests {
         // destination never appears, and no temp file is left behind.
         for op in 0..4 {
             let guard = faults::install(faults::FaultPlan::fail_io(op));
-            let err = snap.save(&path);
+            let err = super::atomic_write(&path, &snap.encode());
             assert!(guard.fired().fail_io, "op {op} targeted");
-            assert!(matches!(err, Err(SnapshotError::Io(_))), "op {op}");
+            assert!(err.is_err(), "op {op}");
             assert!(!path.exists(), "op {op}: destination must not appear");
             assert!(!tmp.exists(), "op {op}: temp file must be cleaned up");
         }
 
         // A clean save lands, leaves no temp file, and loads back.
-        snap.save(&path).expect("save");
+        super::atomic_write(&path, &snap.encode()).expect("save");
         assert!(!tmp.exists(), "temp renamed away");
-        assert_eq!(PlanSnapshot::load(&path).expect("load").len(), snap.len());
+        let loaded = PlanSnapshot::decode(read_file(&path)).expect("load");
+        assert_eq!(loaded.len(), snap.len());
 
         // Overwrite with a failing save: the previous complete file
         // survives untouched — the atomic-replace guarantee.
         let before = std::fs::read(&path).expect("read");
         let _guard = faults::install(faults::FaultPlan::fail_io(2));
-        assert!(snap.save(&path).is_err());
+        assert!(super::atomic_write(&path, &snap.encode()).is_err());
         assert_eq!(std::fs::read(&path).expect("read"), before);
         std::fs::remove_file(&path).ok();
     }

@@ -11,10 +11,8 @@
 //! [`ServingLoop`](super::ServingLoop) extends with its lifecycle counters
 //! (background snapshot exports, admission-table GC evictions).
 
-use serde::{Deserialize, Serialize};
-
 /// Counters describing how effectively one session is reusing work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// GeMMs executed.
     pub gemms: u64,
@@ -85,7 +83,7 @@ impl EngineStats {
 /// Shared-cache counters are accumulated under the per-shard locks, so they
 /// see every session's traffic; they equal the merged per-session counters
 /// for lookups/insertions but additionally expose residency.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedCacheStats {
     /// Lookups answered from a shard.
     pub hits: u64,
@@ -153,14 +151,14 @@ impl SharedCacheStats {
 /// scheduler — they are filled in by
 /// [`ServingLoop::stats`](super::ServingLoop::stats). The fault counters
 /// (`lane_faults`, `shard_resets`) are maintained by the scheduler itself.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// GeMM steps completed per lane (a GeMM sliced across several visits
     /// still counts once, on its completing slice).
     pub lane_steps: Vec<u64>,
     /// Row-tiles executed per lane — the fine-grained work unit under a
     /// sub-GeMM
-    /// [`slice_quantum`](super::BatchScheduler::set_slice_quantum). Also
+    /// [`slice_quantum`](super::BatchScheduler::with_slice_quantum). Also
     /// filled in whole-GeMM mode (each visit adds the GeMM's full row-tile
     /// count), so share ratios can be audited in identical units under
     /// either quantum.

@@ -2,8 +2,8 @@
 //! [`PlanSnapshot`] files with bounded-backoff writes, pruning, and a
 //! corrupt-tolerant loader.
 //!
-//! [`PlanSnapshot::save`] already makes a *single* write atomic; a serving
-//! process additionally needs a *history* of them — the newest image might
+//! A *single* snapshot write is atomic (temp file, fsync, rename); a
+//! serving process additionally needs a *history* of them — the newest image might
 //! be the one a crash (or bit rot) mangled, and a warm restart is strictly
 //! better served by the previous good snapshot than by nothing. A
 //! [`SnapshotStore`] owns one directory and provides:
@@ -24,7 +24,7 @@
 //!
 //! The [`ServingLoop`](super::ServingLoop) drives its background exports
 //! through a store when one is attached
-//! ([`ServingLoop::set_snapshot_store`](super::ServingLoop::set_snapshot_store)),
+//! ([`ServingLoop::with_snapshot_store`](super::ServingLoop::with_snapshot_store)),
 //! surfacing the counters as
 //! [`SchedulerStats::snapshot_io_retries`](super::SchedulerStats) and
 //! [`SchedulerStats::snapshots_quarantined`](super::SchedulerStats).
@@ -164,7 +164,7 @@ impl SnapshotStore {
     /// Writes `snapshot` as the next sequence-numbered file, retrying
     /// failed writes under bounded exponential backoff, then prunes to the
     /// retention limit. Returns the path written. The write itself is
-    /// atomic ([`PlanSnapshot::save`]'s temp-file + rename path), so no
+    /// atomic (temp file, fsync, rename), so no
     /// attempt — failed or killed — can leave a torn file under a
     /// snapshot name.
     pub fn save(&self, snapshot: &PlanSnapshot) -> Result<PathBuf, SnapshotError> {
@@ -259,14 +259,6 @@ impl SnapshotStore {
                     self.bytes_loaded.fetch_add(len as u64, Ordering::Relaxed);
                     self.plans_loaded
                         .fetch_add(snapshot.len() as u64, Ordering::Relaxed);
-                    if std::env::var_os("PROSPERITY_DEBUG").is_some() {
-                        eprintln!(
-                            "snapshot-store: loaded {} ({} bytes, {} plans)",
-                            path.display(),
-                            len,
-                            snapshot.len()
-                        );
-                    }
                     return Ok(Some((*seq, snapshot)));
                 }
                 Err(_) => {

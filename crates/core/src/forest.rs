@@ -7,10 +7,9 @@
 //! respect.
 
 use crate::prune::{MatchKind, PrunedRow};
-use serde::{Deserialize, Serialize};
 
 /// A pruned one-prefix-per-row forest over the rows of one tile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProSparsityForest {
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,

@@ -10,12 +10,11 @@
 
 use crate::detect::detect_tile;
 use crate::prune::select_prefix;
-use serde::{Deserialize, Serialize};
 use spikemat::{SpikeMatrix, TileShape};
 use std::ops::AddAssign;
 
 /// Density/prefix statistics for the one- vs two-prefix comparison.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MultiPrefixStats {
     /// Matrix cells examined (`M × K`).
     pub dense_ops: u64,

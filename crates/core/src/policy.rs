@@ -9,11 +9,10 @@
 
 use crate::detect::detect_tile;
 use crate::stats::ProStats;
-use serde::{Deserialize, Serialize};
 use spikemat::{SpikeMatrix, TileShape};
 
 /// Which prefix a row picks among its valid subset candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefixPolicy {
     /// The paper's rule: largest subset, ties toward the larger index.
     LargestSubset,

@@ -15,12 +15,11 @@
 //! which equals the set difference because the prefix is a subset.
 
 use crate::detect::DetectedTile;
-use serde::{Deserialize, Serialize};
 use spikemat::{BitRow, SpikeMatrix};
 
 /// How a row relates to its selected prefix. The discriminants are the
 /// kind bytes of the plan-snapshot format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum MatchKind {
     /// No usable prefix: the row is computed from scratch (pure bit sparsity).
@@ -32,7 +31,7 @@ pub enum MatchKind {
 }
 
 /// The pruned spatial meta-information for one row of a tile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrunedRow {
     /// Selected prefix row index within the tile, if any.
     pub prefix: Option<usize>,

@@ -1,6 +1,5 @@
 //! Operation and density statistics for product sparsity.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Aggregate ProSparsity statistics for one tile, one GeMM, or a whole model.
@@ -10,7 +9,7 @@ use std::ops::{Add, AddAssign};
 /// width to obtain total scalar operations. `dense_ops` is the `M × K`
 /// element count, so `bit_ops / dense_ops` is the paper's *bit density* and
 /// `pro_ops / dense_ops` its *product density*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProStats {
     /// Total matrix elements `M × K` (dense operation count per output col).
     pub dense_ops: u64,

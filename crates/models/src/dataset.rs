@@ -1,6 +1,5 @@
 //! Dataset descriptors for the paper's evaluation suite.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The datasets used in the paper's evaluation (Sec. VII-A).
@@ -8,7 +7,7 @@ use std::fmt;
 /// Only the *geometry* matters for performance simulation: image datasets
 /// fix the input resolution of spiking CNNs and vision transformers, NLP
 /// datasets fix the sequence length of the spiking language models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// CIFAR-10: 32×32 RGB, 10 classes.
     Cifar10,

@@ -1,11 +1,9 @@
 //! Per-layer spiking-GeMM shape descriptors.
 
-use serde::{Deserialize, Serialize};
-
 /// The `(M, K, N)` shape of one spiking GeMM.
 ///
 /// `M` already includes the unrolled time steps (`M = T·L` or `T·OH·OW`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmShape {
     /// Spike-matrix rows.
     pub m: usize,
@@ -33,7 +31,7 @@ impl GemmShape {
 /// convolutions and linear projections but not the attention GeMMs of
 /// spiking transformers (paper Sec. VII-A runs PTB/SATO/MINT on linear
 /// layers only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// Convolution lowered by im2col.
     Conv,
@@ -44,7 +42,7 @@ pub enum LayerKind {
 }
 
 /// One spiking-GeMM layer of a model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerSpec {
     /// Human-readable layer name (e.g. `conv3_2`, `block5.ffn1`).
     pub name: String,

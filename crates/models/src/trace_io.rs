@@ -60,8 +60,8 @@ impl std::error::Error for TraceIoError {}
 
 /// Serializes the layers of a trace into the compact binary format.
 ///
-/// The originating [`Workload`] is not embedded; pair the bytes with the
-/// workload descriptor (it is `serde`-serializable) in your own container.
+/// The originating [`Workload`] is not embedded; store its descriptor
+/// alongside the bytes if the reader needs it.
 pub fn encode_layers(trace: &ModelTrace) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_slice(MAGIC);

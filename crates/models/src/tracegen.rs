@@ -16,11 +16,10 @@
 use prosperity_core::ProSparsityPlan;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use spikemat::{BitRow, SpikeMatrix, TileShape};
 
 /// Parameters of the synthetic activation generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceGenParams {
     /// Target fraction of 1-bits.
     pub bit_density: f64,

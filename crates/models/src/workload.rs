@@ -14,12 +14,11 @@ use crate::tracegen::{TraceGen, TraceGenParams};
 use crate::zoo::Architecture;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use spikemat::gemm::WeightMatrix;
 use spikemat::{SpikeMatrix, TileShape};
 
 /// Paper-reported reference values for one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperRef {
     /// Bit density of the activations (Fig. 11, blue bars).
     pub bit_density: f64,
@@ -35,7 +34,7 @@ impl PaperRef {
 }
 
 /// One evaluated model × dataset pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Workload {
     /// Model architecture.
     pub arch: Architecture,

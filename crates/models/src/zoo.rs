@@ -7,12 +7,11 @@
 
 use crate::dataset::Dataset;
 use crate::layer::{GemmShape, LayerKind, LayerSpec};
-use serde::{Deserialize, Serialize};
 use spikemat::im2col::Conv2dParams;
 use std::fmt;
 
 /// The eight SNN architectures of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Architecture {
     /// Spiking VGG-16 (13 conv + classifier).
     Vgg16,

@@ -8,10 +8,8 @@
 //! than LIF activations for the same signal. This implementation is a
 //! faithful functional model of that coding scheme, not of Stellar's RTL.
 
-use serde::{Deserialize, Serialize};
-
 /// FS neuron parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FsParams {
     /// Length of the coding window (number of time steps / code bits).
     pub window: usize,

@@ -14,10 +14,8 @@
 //! neuron-agnostic — only the emitted binary spikes matter — so this model
 //! plugs into the same trace machinery as LIF.
 
-use serde::{Deserialize, Serialize};
-
 /// Izhikevich model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IzhikevichParams {
     /// Recovery time scale `a`.
     pub a: f32,

@@ -1,9 +1,7 @@
 //! The leaky integrate-and-fire (LIF) neuron.
 
-use serde::{Deserialize, Serialize};
-
 /// How the membrane potential is reset after a spike.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ResetMode {
     /// Reset to a fixed value (`V ← V_reset`).
     Hard(f32),
@@ -22,7 +20,7 @@ pub enum ResetMode {
 ///
 /// `leak = 1.0` gives a plain integrate-and-fire neuron; `leak = 1 − 1/τ`
 /// approximates the SpikingJelly LIF with membrane time constant `τ`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifParams {
     /// Firing threshold `V_th`.
     pub threshold: f32,

@@ -1,10 +1,9 @@
 //! Architecture configuration (paper Table III).
 
-use serde::{Deserialize, Serialize};
 use spikemat::TileShape;
 
 /// Simulation mode, matching the Fig. 9 ablation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimMode {
     /// Unstructured bit sparsity only: the row-wise dataflow and address
     /// decoder skip every zero, but no prefix reuse happens.
@@ -19,7 +18,7 @@ pub enum SimMode {
 }
 
 /// The Prosperity architecture setup (Table III defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProsperityConfig {
     /// Spike-tile geometry `m × k` (default 256 × 16).
     pub tile: TileShape,

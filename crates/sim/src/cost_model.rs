@@ -15,15 +15,13 @@
 //! which exceeds 1 whenever `ΔS > m / (45 n)` — 4.4 % at the default
 //! `m = 256, n = 128`.
 
-use serde::{Deserialize, Serialize};
-
 /// Relative hardware cost of one floating-point addition versus one TCAM
 /// bitwise operation (paper Sec. VII-G: "a floating-point addition incurs
 /// 45× the hardware overhead of a single TCAM bitwise operation").
 pub const FP_ADD_OVER_TCAM_BITOP: f64 = 45.0;
 
 /// Inputs to the benefit/cost analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostInputs {
     /// Tile rows `m`.
     pub m: usize,

@@ -8,10 +8,9 @@ use crate::accel::simulate_model;
 use crate::config::{ProsperityConfig, SimMode};
 use crate::energy::{AreaModel, EnergyModel};
 use prosperity_models::workload::ModelTrace;
-use serde::{Deserialize, Serialize};
 
 /// One point of the tile-size sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DsePoint {
     /// Tile rows `m`.
     pub m: usize,

@@ -10,10 +10,9 @@
 
 use crate::config::ProsperityConfig;
 use crate::events::EventCounts;
-use serde::{Deserialize, Serialize};
 
 /// Per-event energies in picojoules (28 nm class, calibrated to Fig. 10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// One TCAM bit comparison.
     pub tcam_bitop_pj: f64,
@@ -52,7 +51,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy per architectural component, in joules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Detector (TCAM + popcount units).
     pub detector: f64,
@@ -110,7 +109,7 @@ impl EnergyModel {
 
 /// Component area model in mm² (28 nm), anchored to the Fig. 10 breakdown at
 /// the default configuration and scaled with the structures' capacities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Detector anchor (0.021 mm² at 1 KB TCAM).
     pub detector_anchor: f64,
@@ -140,7 +139,7 @@ impl Default for AreaModel {
 }
 
 /// Area per component for a given configuration, in mm².
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AreaBreakdown {
     /// Detector (TCAM + popcounts).
     pub detector: f64,

@@ -5,11 +5,10 @@
 //! integrating power traces keeps the simulator fast while preserving the
 //! paper's cost structure (Sec. VII-G counts exactly these events).
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Event counts accumulated over a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EventCounts {
     /// TCAM subset-search queries (one per row per tile).
     pub tcam_queries: u64,

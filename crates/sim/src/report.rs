@@ -3,10 +3,9 @@
 use crate::config::ProsperityConfig;
 use crate::events::EventCounts;
 use prosperity_core::stats::ProStats;
-use serde::{Deserialize, Serialize};
 
 /// Performance of one spiking-GeMM layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LayerPerf {
     /// Total cycles (max of compute-side and DRAM-side with double buffering).
     pub cycles: u64,
@@ -21,7 +20,7 @@ pub struct LayerPerf {
 }
 
 /// Aggregated performance of a whole model inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelPerf {
     /// Configuration the model was simulated under.
     pub config: ProsperityConfig,

@@ -8,10 +8,9 @@
 //! divider.
 
 use crate::events::EventCounts;
-use serde::{Deserialize, Serialize};
 
 /// SFU configuration (Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SfuConfig {
     /// Bitwise AND/OR lanes (spike masking).
     pub and_or_units: usize,
@@ -35,7 +34,7 @@ impl Default for SfuConfig {
 }
 
 /// Cycle/energy cost of one SFU pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SfuCost {
     /// SFU cycles (serialized after the producing GeMM).
     pub cycles: u64,

@@ -1,7 +1,6 @@
 //! Bit-packed spike rows.
 
 use crate::LIMB_BITS;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A bit-packed binary spike row of fixed length.
@@ -32,7 +31,7 @@ use std::fmt;
 /// let pattern = row.xor(&prefix); // bits still to accumulate
 /// assert_eq!(pattern.ones().collect::<Vec<_>>(), vec![1]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitRow {
     limbs: Vec<u64>,
     len: usize,

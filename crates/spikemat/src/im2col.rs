@@ -8,11 +8,10 @@
 
 use crate::gemm::{spiking_gemm, OutputMatrix, WeightMatrix};
 use crate::matrix::SpikeMatrix;
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Geometry of a 2-D spiking convolution layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conv2dParams {
     /// Input channels.
     pub in_channels: usize,

@@ -4,7 +4,6 @@ use crate::bitrow::BitRow;
 use crate::tile::{TileIter, TileShape};
 use crate::LIMB_BITS;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An `M × K` binary spike matrix.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.total_spikes(), 4);
 /// assert!((m.density() - 0.5).abs() < 1e-9);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct SpikeMatrix {
     rows: Vec<BitRow>,
     cols: usize,

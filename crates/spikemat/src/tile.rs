@@ -1,13 +1,12 @@
 //! Tiling of spike matrices into accelerator-sized `m × k` tiles.
 
 use crate::matrix::SpikeMatrix;
-use serde::{Deserialize, Serialize};
 
 /// The `m × k` geometry of a spike tile (paper Sec. V-A).
 ///
 /// Prosperity decomposes a spiking GeMM into `⌈M/m⌉ × ⌈K/k⌉` spike tiles; the
 /// hardware default is `m = 256`, `k = 16` (Table III).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileShape {
     /// Rows per tile (`m`).
     pub m: usize,
