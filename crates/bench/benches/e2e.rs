@@ -44,16 +44,12 @@ struct ScenarioOut {
     gemms: usize,
     naive_ms: f64,
     engine_ms: f64,
-    engine_serial_ms: f64,
     stats: EngineStats,
 }
 
 impl ScenarioOut {
     fn speedup(&self) -> f64 {
         self.naive_ms / self.engine_ms
-    }
-    fn speedup_serial(&self) -> f64 {
-        self.naive_ms / self.engine_serial_ms
     }
 }
 
@@ -102,21 +98,12 @@ fn correlated_trace(smoke: bool, reps: usize) -> ScenarioOut {
         }
         o.as_slice().first().copied().unwrap_or(0)
     });
-    let engine_serial_ms = time_ms(reps, || {
-        let mut e = Session::new(config);
-        let mut o = OutputMatrix::zeros(0, 0);
-        for s in &spikes {
-            e.gemm_into_serial(s, &weights, &mut o);
-        }
-        o.as_slice().first().copied().unwrap_or(0)
-    });
 
     ScenarioOut {
         name: "correlated_trace",
         gemms: steps,
         naive_ms,
         engine_ms,
-        engine_serial_ms,
         stats,
     }
 }
@@ -166,21 +153,12 @@ fn fig8_trace(smoke: bool, reps: usize) -> ScenarioOut {
         }
         o.as_slice().first().copied().unwrap_or(0)
     });
-    let engine_serial_ms = time_ms(reps, || {
-        let mut e = Session::new(config);
-        let mut o = OutputMatrix::zeros(0, 0);
-        for (layer, w) in trace.layers.iter().zip(&weights) {
-            e.gemm_into_serial(&layer.spikes, w, &mut o);
-        }
-        o.as_slice().first().copied().unwrap_or(0)
-    });
 
     ScenarioOut {
         name: "fig8_spikingbert",
         gemms: trace.layers.len(),
         naive_ms,
         engine_ms,
-        engine_serial_ms,
         stats,
     }
 }
@@ -222,21 +200,12 @@ fn attention_stream(smoke: bool, reps: usize) -> ScenarioOut {
         }
         o.as_slice().first().copied().unwrap_or(0)
     });
-    let engine_serial_ms = time_ms(reps, || {
-        let mut e = Session::new(config);
-        let mut o = OutputMatrix::zeros(0, 0);
-        for q in &queries {
-            e.gemm_into_serial(q, &kt_weights, &mut o);
-        }
-        o.as_slice().first().copied().unwrap_or(0)
-    });
 
     ScenarioOut {
         name: "attention_stream",
         gemms: steps,
         naive_ms,
         engine_ms,
-        engine_serial_ms,
         stats,
     }
 }
@@ -248,8 +217,7 @@ fn json_scenario(r: &ScenarioOut) -> String {
             "\"cache_hits\": {}, \"cache_misses\": {}, \"cache_evictions\": {}, ",
             "\"cache_bypasses\": {}, ",
             "\"hit_rate\": {:.4}, ",
-            "\"naive_ms\": {:.3}, \"engine_ms\": {:.3}, \"engine_serial_ms\": {:.3}, ",
-            "\"speedup\": {:.2}, \"speedup_serial\": {:.2}}}"
+            "\"naive_ms\": {:.3}, \"engine_ms\": {:.3}, \"speedup\": {:.2}}}"
         ),
         r.name,
         r.gemms,
@@ -261,9 +229,7 @@ fn json_scenario(r: &ScenarioOut) -> String {
         r.stats.hit_rate(),
         r.naive_ms,
         r.engine_ms,
-        r.engine_serial_ms,
         r.speedup(),
-        r.speedup_serial(),
     )
 }
 
@@ -276,8 +242,8 @@ fn main() {
         if smoke { ", SMOKE" } else { "" }
     );
     println!(
-        "{:<20} {:>7} {:>11} {:>11} {:>11} {:>9} {:>9}",
-        "scenario", "gemms", "naive ms", "engine ms", "serial ms", "speedup", "hit rate"
+        "{:<20} {:>7} {:>11} {:>11} {:>9} {:>9}",
+        "scenario", "gemms", "naive ms", "engine ms", "speedup", "hit rate"
     );
     let results = vec![
         correlated_trace(smoke, reps),
@@ -286,12 +252,11 @@ fn main() {
     ];
     for r in &results {
         println!(
-            "{:<20} {:>7} {:>11.2} {:>11.2} {:>11.2} {:>8.2}x {:>8.1}%",
+            "{:<20} {:>7} {:>11.2} {:>11.2} {:>8.2}x {:>8.1}%",
             r.name,
             r.gemms,
             r.naive_ms,
             r.engine_ms,
-            r.engine_serial_ms,
             r.speedup(),
             100.0 * r.stats.hit_rate(),
         );
@@ -301,12 +266,15 @@ fn main() {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e2e.json").to_string()
     });
     let body: Vec<String> = results.iter().map(json_scenario).collect();
+    // Sessions execute on the calling thread; `threads_effective` is what
+    // the naive column's `prosparsity_gemm` fans its row-tiles across.
     let json = format!(
         "{{\n  \"bench\": \"e2e\",\n  \"unit\": \"ms\",\n  \"timing\": \
          \"best_of_reps\",\n  \"smoke\": {},\n  \"threads\": {},\n  \
-         \"scenarios\": [\n{}\n  ]\n}}\n",
+         \"threads_effective\": {},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         smoke,
         threads,
+        prosperity_core::parallel_threads(),
         body.join(",\n")
     );
     if smoke {

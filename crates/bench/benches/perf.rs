@@ -4,7 +4,7 @@
 //! `BENCH_PERF_OUT`) and held to thresholds by
 //! `scripts/check_bench_json.sh`:
 //!
-//! * `alloc_steady_state` — warm serial GeMM steps under a counting
+//! * `alloc_steady_state` — warm `gemm_into` steps under a counting
 //!   `#[global_allocator]`; steady-state allocations per step must be 0.
 //! * `snapshot_encode` — warm-buffer [`PlanSnapshot::encode_into`]
 //!   throughput in MB/s (and its steady-state allocation count, also 0).
@@ -90,18 +90,18 @@ fn main() {
         .collect();
     let mut out = OutputMatrix::zeros(0, 0);
     for s in &inputs {
-        engine.gemm_into_serial(s, &weights, &mut out);
-        engine.gemm_into_serial(s, &weights, &mut out);
+        engine.gemm_into(s, &weights, &mut out);
+        engine.gemm_into(s, &weights, &mut out);
     }
     const STEPS: usize = 64;
     let step_allocs = count_allocs(|| {
         for i in 0..STEPS {
-            engine.gemm_into_serial(&inputs[i % inputs.len()], &weights, &mut out);
+            engine.gemm_into(&inputs[i % inputs.len()], &weights, &mut out);
         }
     });
     let step_ms = time_ms(REPS, || {
         for i in 0..STEPS {
-            engine.gemm_into_serial(&inputs[i % inputs.len()], &weights, &mut out);
+            engine.gemm_into(&inputs[i % inputs.len()], &weights, &mut out);
         }
     }) / STEPS as f64;
     println!(

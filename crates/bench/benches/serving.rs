@@ -158,7 +158,7 @@ fn oracle(case: &TenantCase, config: EngineConfig) -> Vec<Vec<OutputMatrix<i64>>
                 .iter()
                 .map(|s| {
                     let mut out = OutputMatrix::zeros(0, 0);
-                    engine.gemm_into_serial(s, w, &mut out);
+                    engine.gemm_into(s, w, &mut out);
                     out
                 })
                 .collect()
@@ -762,7 +762,7 @@ fn fleet(smoke: bool, reps: usize) -> FleetOut {
             .iter()
             .map(|s| {
                 let mut out = OutputMatrix::zeros(0, 0);
-                engine.gemm_into_serial(s, &weights, &mut out);
+                engine.gemm_into(s, &weights, &mut out);
                 out
             })
             .collect()
@@ -952,9 +952,9 @@ fn preemption(smoke: bool, reps: usize) -> PreemptionOut {
     let want = {
         let mut engine = Session::new(config);
         let mut want_monster = OutputMatrix::zeros(0, 0);
-        engine.gemm_into_serial(&monster, &w, &mut want_monster);
+        engine.gemm_into(&monster, &w, &mut want_monster);
         let mut want_small = OutputMatrix::zeros(0, 0);
-        engine.gemm_into_serial(&small, &w, &mut want_small);
+        engine.gemm_into(&small, &w, &mut want_small);
         (want_monster, want_small)
     };
     let quanta = [1usize, 2, 4, 8];
@@ -1579,9 +1579,8 @@ fn main() {
         rz.recovered_plans,
     ));
     body.push(json_fleet(&fl));
-    // `threads_effective` is what the parallel row-tile paths actually get
-    // (the rayon pool size), as in BENCH_kernels.json
-    // — it makes intra-GeMM parallel numbers interpretable on 1-core hosts.
+    // `threads_effective` is the rayon pool size, as in BENCH_kernels.json;
+    // sessions ignore it and execute on their lane's thread.
     let json = format!(
         "{{\n  \"bench\": \"serving\",\n  \"unit\": \"ms\",\n  \"timing\": \
          \"best_of_reps\",\n  \"smoke\": {},\n  \"threads\": {},\n  \

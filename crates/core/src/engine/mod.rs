@@ -7,7 +7,6 @@
 //! | [`shared`] | the sharded concurrent [`SharedPlanCache`], per-tenant admission |
 //! | [`snapshot`] | [`PlanSnapshot`]: persist hot plans across restarts (atomic writes) |
 //! | [`store`] | [`SnapshotStore`]: retained, checksum-verified snapshot directory with corrupt-file quarantine |
-//! | `pool` | recycled executor buffers (internal) |
 //! | [`session`] | one stream's state: [`Session`], planning through its own one-shard [`SharedPlanCache`], a shared one, or none |
 //! | [`batch`] | [`BatchScheduler`] interleaving many traces over one shared cache (QoS policies, lane quarantine) |
 //! | [`service`] | [`ServingLoop`]: background snapshot export + admission GC cadences |
@@ -49,12 +48,12 @@
 //! * **Scratch reuse** — cache misses are planned through one persistent
 //!   [`PlanScratch`](crate::plan::PlanScratch), so steady-state planning
 //!   allocates only for the meta it emits.
-//! * **Buffer pooling** — output matrices, executor arenas, and the
+//! * **Buffer reuse** — output matrices, the executor arena, and the
 //!   spike-chain ping-pong buffers are recycled across layers, calls, and
 //!   (via the [`BatchScheduler`]'s persistent lanes) whole traces.
-//! * **Row-tile parallelism** — execution distributes row-tiles across
-//!   the rayon workers exactly like [`crate::exec::execute_plan`], with
-//!   bit-identical results; the `*_serial` entry points remain the oracle.
+//! * **Caller-thread execution** — a session runs a GeMM's row-tiles in
+//!   order on the thread that calls it; concurrency is across lanes
+//!   ([`BatchScheduler::run_concurrent`]), one thread per session.
 //! * **QoS scheduling + lifecycle** — the [`BatchScheduler`] runs
 //!   [`BatchPolicy::Weighted`] (deficit-round-robin step shares; the
 //!   default [`BatchPolicy::RoundRobin`] is every weight 1) and
@@ -85,7 +84,6 @@ pub mod cache;
 #[cfg(any(test, feature = "fault-injection"))]
 pub mod faults;
 pub mod fleet;
-pub(crate) mod pool;
 pub mod service;
 pub mod session;
 pub mod shared;
@@ -107,8 +105,9 @@ use spikemat::gemm::OutputMatrix;
 use spikemat::{SpikeMatrix, TileShape};
 use std::ops::AddAssign;
 
-/// Element types the engine can accumulate: `Send + Sync` so row-tiles can
-/// execute across threads (every integer and float type qualifies).
+/// Element types the engine can accumulate: `Send + Sync` so sessions and
+/// their weights can serve lanes on other threads (every integer and float
+/// type qualifies).
 pub trait Element: Copy + Default + AddAssign + Send + Sync + 'static {}
 impl<T: Copy + Default + AddAssign + Send + Sync + 'static> Element for T {}
 
@@ -154,7 +153,7 @@ impl Default for EngineConfig {
 
 /// Binarizes an integer/float output into spikes: bit `(i, j)` fires iff
 /// `values[i][j] >= threshold`. `out` is resized in place (the session's
-/// pooled layer-chaining step).
+/// layer-chaining step).
 pub fn threshold_spikes<T: Copy + Default + AddAssign + PartialOrd>(
     values: &OutputMatrix<T>,
     threshold: T,

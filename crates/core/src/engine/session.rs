@@ -1,15 +1,14 @@
-//! One serving session: plan cache handle, planner scratch, and pooled
+//! One serving session: plan cache handle, planner scratch, and recycled
 //! buffers that persist across GeMMs, layers, and timesteps.
 
 use std::sync::Arc;
 
-use crate::exec::{execute_row_tile, execute_row_tiles, TileExec};
+use crate::exec::{execute_row_tiles, TileExec};
 use crate::plan::{build_tile_meta, PlanScratch, TileMeta};
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::SpikeMatrix;
 
 use super::cache::{hash_limbs, Admission, InsertOutcome};
-use super::pool::BufferPool;
 use super::shared::SharedPlanCache;
 use super::snapshot::{ImportReport, PlanSnapshot};
 use super::stats::EngineStats;
@@ -46,7 +45,7 @@ pub struct SliceRun {
 /// Resumable position inside one planned GeMM: [`Session::gemm_slice`]
 /// plans on its first visit and then walks `next_row_tile` through
 /// `row_tiles` across visits, so a scheduler can preempt the session
-/// between row-tiles. The placed tiles, pooled scratch, and spike-chain
+/// between row-tiles. The placed tiles, executor arena, and spike-chain
 /// buffers all live on the session, so nothing is re-derived on resume.
 #[derive(Debug, Default)]
 struct StepCursor {
@@ -59,15 +58,16 @@ struct StepCursor {
 }
 
 /// A reusable end-to-end execution session: plan cache, planner scratch, and
-/// buffer pools that persist across GeMMs, layers, and timesteps.
+/// recycled buffers that persist across GeMMs, layers, and timesteps.
 ///
 /// One session serves one logical stream of spiking GeMMs (a model being
-/// replayed timestep after timestep). It is `&mut self` throughout — share
-/// *streams* across threads by giving each its own session; *within* one
-/// call the session parallelizes across row-tiles. To share planning work
-/// across concurrent streams, construct the sessions over one
-/// [`SharedPlanCache`] ([`Session::with_shared`]) or drive them through a
-/// [`BatchScheduler`](super::BatchScheduler).
+/// replayed timestep after timestep). It is `&mut self` throughout and
+/// executes every GeMM and every slice on the calling thread, one row-tile
+/// at a time, as the accelerator's datapath does. Parallelism is across
+/// *streams*: give each its own session, share planning work through one
+/// [`SharedPlanCache`] ([`Session::with_shared`]), and run the lanes of a
+/// [`BatchScheduler`](super::BatchScheduler) on their own threads with
+/// [`run_concurrent`](super::BatchScheduler::run_concurrent).
 ///
 /// ```
 /// use prosperity_core::engine::Session;
@@ -101,8 +101,9 @@ pub struct Session<T = i64> {
     gk: usize,
     /// Sliced-execution position within the current GeMM.
     cursor: StepCursor,
-    pool: BufferPool<T>,
-    /// Pooled layer output recycled by [`Session::forward_chain`].
+    /// The executor's prefix-row arena, recycled across row-tiles and GeMMs.
+    arena: Vec<T>,
+    /// Layer output recycled by [`Session::forward_chain`].
     chain_out: OutputMatrix<T>,
     /// Spike-chain ping-pong buffers for [`Session::forward_chain`].
     chain_a: SpikeMatrix,
@@ -190,7 +191,7 @@ impl<T: Element> Session<T> {
             tiles: Vec::new(),
             gk: 0,
             cursor: StepCursor::default(),
-            pool: BufferPool::default(),
+            arena: Vec::new(),
             chain_out: OutputMatrix::zeros(0, 0),
             chain_a: SpikeMatrix::zeros(0, 0),
             chain_b: SpikeMatrix::zeros(0, 0),
@@ -342,7 +343,7 @@ impl<T: Element> Session<T> {
     /// buffer makes the call allocation-free apart from cache insertions).
     ///
     /// Bit-identical to [`crate::exec::prosparsity_gemm`] with this
-    /// session's tile shape; row-tiles run across the rayon workers.
+    /// session's tile shape; row-tiles run in order on the calling thread.
     ///
     /// # Panics
     ///
@@ -361,22 +362,6 @@ impl<T: Element> Session<T> {
         self.gemm_slice(spikes, weights, out, 0);
     }
 
-    /// Strictly single-threaded [`Session::gemm_into`]; the oracle the
-    /// parallel path is property-tested against. Cache behaviour (and thus
-    /// [`EngineStats`]) is identical.
-    pub fn gemm_into_serial(
-        &mut self,
-        spikes: &SpikeMatrix,
-        weights: &WeightMatrix<T>,
-        out: &mut OutputMatrix<T>,
-    ) {
-        debug_assert!(
-            !self.cursor.active,
-            "gemm_into_serial while a sliced GeMM is in flight"
-        );
-        self.gemm_slice_serial(spikes, weights, out, 0);
-    }
-
     /// Convenience [`Session::gemm_into`] allocating a fresh output.
     pub fn gemm(&mut self, spikes: &SpikeMatrix, weights: &WeightMatrix<T>) -> OutputMatrix<T> {
         let mut out = OutputMatrix::zeros(0, 0);
@@ -388,10 +373,10 @@ impl<T: Element> Session<T> {
     /// yields — the preemptible form of [`Session::gemm_into`].
     ///
     /// The first visit plans the whole GeMM (one plan-cache pass) and
-    /// resets `out`; each visit then executes a bounded slice of row-tiles,
-    /// fanned across rayon workers. Keep calling with the *same* `spikes`,
-    /// `weights`, and `out` until the returned [`SliceRun::done`] is true;
-    /// only then is `out` the complete GeMM result. Row-tiles are
+    /// resets `out`; each visit then executes a bounded slice of row-tiles.
+    /// Keep calling with the *same* `spikes`, `weights`, and `out` until the
+    /// returned [`SliceRun::done`] is true; only then is `out` the complete
+    /// GeMM result. Row-tiles are
     /// independent (no output element or scratch state crosses a row-group
     /// boundary), so any partition into slices is bit-identical to the
     /// one-shot call.
@@ -413,35 +398,21 @@ impl<T: Element> Session<T> {
     ) -> SliceRun {
         self.slice_prepare(spikes, weights, out);
         let (start, count) = self.slice_bounds(max_row_tiles);
-        self.timed_execute(|s| s.execute_slice(weights, out, start, count));
-        self.slice_advance(count)
-    }
-
-    /// Strictly single-threaded [`Session::gemm_slice`]; the oracle the
-    /// parallel sliced path is property-tested against.
-    // analyze: hot-path
-    pub fn gemm_slice_serial(
-        &mut self,
-        spikes: &SpikeMatrix,
-        weights: &WeightMatrix<T>,
-        out: &mut OutputMatrix<T>,
-        max_row_tiles: usize,
-    ) -> SliceRun {
-        self.slice_prepare(spikes, weights, out);
-        let (start, count) = self.slice_bounds(max_row_tiles);
-        self.timed_execute(|s| s.execute_slice_serial(weights, out, start, count));
+        let executed = std::time::Instant::now();
+        self.execute_slice(weights, out, start, count);
+        self.stats.exec_ns += executed.elapsed().as_nanos() as u64;
         self.slice_advance(count)
     }
 
     /// Whether a sliced GeMM is in flight (planned, not yet fully
     /// executed). While true, the only valid operations are further
-    /// `gemm_slice*` visits for the same GeMM or [`Session::reset_slice`].
+    /// `gemm_slice` visits for the same GeMM or [`Session::reset_slice`].
     pub fn slice_in_flight(&self) -> bool {
         self.cursor.active
     }
 
     /// Abandons an in-flight sliced GeMM (its partial output is left as-is
-    /// and must not be observed). The next `gemm_slice*` call plans fresh.
+    /// and must not be observed). The next `gemm_slice` call plans fresh.
     pub fn reset_slice(&mut self) {
         self.cursor = StepCursor::default();
     }
@@ -451,7 +422,7 @@ impl<T: Element> Session<T> {
         self.tiles.len().checked_div(self.gk).unwrap_or(0)
     }
 
-    /// First-visit planning for `gemm_slice*`: plans + resets the output
+    /// First-visit planning for `gemm_slice`: plans + resets the output
     /// and arms the cursor; resumed visits only sanity-check geometry.
     fn slice_prepare(
         &mut self,
@@ -503,7 +474,7 @@ impl<T: Element> Session<T> {
         }
     }
 
-    /// Shared plan + output-shape phase of the `gemm_into*` entry points.
+    /// Plan + output-shape phase of a GeMM's first slice.
     fn gemm_prepare(
         &mut self,
         spikes: &SpikeMatrix,
@@ -529,64 +500,11 @@ impl<T: Element> Session<T> {
         out.reset(spikes.rows(), weights.cols());
     }
 
-    /// Times one execute closure into [`EngineStats::exec_ns`].
-    #[inline]
-    fn timed_execute(&mut self, run: impl FnOnce(&Self)) {
-        let executed = std::time::Instant::now();
-        run(self);
-        self.stats.exec_ns += executed.elapsed().as_nanos() as u64;
-    }
-
     /// Executes `count` row-tiles starting at row group `start` of the last
-    /// plan into their chunks of `out`; the group's ready row-tiles fan out
-    /// across rayon workers.
+    /// plan into their chunks of `out`, in order, through one recycled arena.
     // analyze: hot-path
     fn execute_slice(
-        &self,
-        weights: &WeightMatrix<T>,
-        out: &mut OutputMatrix<T>,
-        start: usize,
-        count: usize,
-    ) {
-        use rayon::prelude::*;
-        let n = weights.cols();
-        if count == 0 || n == 0 {
-            return;
-        }
-        // Fan-out has a fixed per-dispatch cost; a single row-tile or a
-        // one-worker pool gains nothing from it, and sub-GeMM quanta
-        // multiply dispatches, so route those straight to the serial
-        // executor (bit-identical either way).
-        if count == 1 || rayon::current_num_threads() == 1 {
-            self.execute_slice_serial(weights, out, start, count);
-            return;
-        }
-        let chunk_elems = self.config.tile.m * n;
-        let gk = self.gk;
-        let row_chunks: Vec<(usize, &mut [T])> = out
-            .as_mut_slice()
-            .chunks_mut(chunk_elems)
-            .enumerate()
-            .skip(start)
-            .take(count)
-            .collect();
-        row_chunks.into_par_iter().for_each(|(ti, chunk)| {
-            // chunks_mut sizing guarantees ti indexes a planned row group,
-            // so the range is always valid; `get` keeps the warm dispatch
-            // loop free of panic paths.
-            let Some(tiles) = self.tiles.get(ti * gk..(ti + 1) * gk) else {
-                return;
-            };
-            let mut arena = self.pool.take_arena();
-            execute_row_tile(tiles, weights, chunk, &mut arena, n);
-            self.pool.put_arena(arena);
-        });
-    }
-
-    /// Single-threaded slice executor over [`execute_row_tiles`].
-    // analyze: hot-path
-    fn execute_slice_serial(
-        &self,
+        &mut self,
         weights: &WeightMatrix<T>,
         out: &mut OutputMatrix<T>,
         start: usize,
@@ -596,26 +514,31 @@ impl<T: Element> Session<T> {
         if count == 0 || n == 0 {
             return;
         }
-        let mut arena = self.pool.take_arena();
+        let Self {
+            config,
+            tiles,
+            gk,
+            arena,
+            ..
+        } = self;
         execute_row_tiles(
-            &self.tiles,
-            self.gk,
+            tiles,
+            *gk,
             weights,
             out.as_mut_slice(),
             start,
             count,
-            &mut arena,
-            self.config.tile.m,
+            arena,
+            config.tile.m,
             n,
         );
-        self.pool.put_arena(arena);
     }
 
     /// Runs a feed-forward chain: layer `ℓ`'s integer output is thresholded
     /// (`v >= threshold` fires) into the spike input of layer `ℓ+1`, using
-    /// the session's pooled ping-pong buffers, and the final layer's spikes
-    /// are left in `out_spikes` (resized in place). No steady-state
-    /// allocation once the pools are warm.
+    /// the session's recycled ping-pong buffers, and the final layer's
+    /// spikes are left in `out_spikes` (resized in place). No steady-state
+    /// allocation once the buffers are warm.
     ///
     /// # Panics
     ///
@@ -659,7 +582,7 @@ impl<T: Element> Session<T> {
             std::mem::swap(&mut ping, &mut pong);
         }
         // Final spikes are in `ping`; hand them to the caller and keep the
-        // other buffer (plus whatever the caller passed in) pooled.
+        // other buffer (plus whatever the caller passed in) for reuse.
         std::mem::swap(out_spikes, &mut ping);
         self.chain_out = acc;
         self.chain_a = ping;

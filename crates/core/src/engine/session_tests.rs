@@ -31,19 +31,23 @@ fn engine_matches_reference_across_random_cases() {
     }
 }
 
+/// A sliced GeMM accrues `plan_ns` once, on the visit that plans it, and
+/// `exec_ns` on every visit.
 #[test]
-fn serial_and_parallel_paths_agree() {
+fn slices_time_planning_once_and_execution_per_slice() {
     let mut rng = StdRng::seed_from_u64(12);
-    for _ in 0..10 {
-        let (s, w) = random_case(&mut rng);
-        let tile = TileShape::new(rng.gen_range(1..=12), rng.gen_range(1..=12));
-        let mut engine = Session::new(EngineConfig::new(tile, 16));
-        let mut a = OutputMatrix::zeros(0, 0);
-        let mut b = OutputMatrix::zeros(0, 0);
-        engine.gemm_into(&s, &w, &mut a);
-        engine.gemm_into_serial(&s, &w, &mut b);
-        assert_eq!(a, b);
-    }
+    let s = SpikeMatrix::random(64, 32, 0.3, &mut rng);
+    let w = WeightMatrix::from_fn(32, 16, |r, c| (r * 5 + c) as i64 - 60);
+    let mut session = Session::new(EngineConfig::new(TileShape::new(8, 16), 64));
+    let mut out = OutputMatrix::zeros(0, 0);
+    assert!(!session.gemm_slice(&s, &w, &mut out, 1).done);
+    let planned = session.stats();
+    assert!(planned.plan_ns > 0, "{planned:?}");
+    while !session.gemm_slice(&s, &w, &mut out, 1).done {}
+    let done = session.stats();
+    assert_eq!(done.plan_ns, planned.plan_ns, "later slices do not plan");
+    assert!(done.exec_ns > 0, "{done:?}");
+    assert_eq!(out, spiking_gemm(&s, &w));
 }
 
 #[test]
@@ -286,8 +290,8 @@ fn gemm_into_refuses_to_resume_an_in_flight_slice() {
 
 /// The paper's default 256×16 tile over a ragged 300×70 input (a 44-row
 /// tail row-tile and a 6-column tail k-tile): every backend plans its
-/// misses from the lookup key, through `gemm_into`, `gemm_into_serial` and
-/// quantum-1 `gemm_slice`. Outputs are bit-identical to the dense
+/// misses from the lookup key, through `gemm_into` and quantum-1
+/// `gemm_slice`. Outputs are bit-identical to the dense
 /// reference and the cache counts are pinned per backend. A session's own
 /// cache and a one-shard shared cache (`recommended_shards(12)` is 1) end
 /// with byte-identical snapshots.
@@ -326,10 +330,10 @@ fn default_tile_plans_from_the_key_under_every_backend() {
     let mut exports = Vec::new();
     for (backend, mut session, expected) in sessions {
         for (step, s) in [&a, &a, &b, &a].into_iter().enumerate() {
-            match step {
-                1 => session.gemm_into_serial(s, &w, &mut out),
-                2 => while !session.gemm_slice(s, &w, &mut out, 1).done {},
-                _ => session.gemm_into(s, &w, &mut out),
+            if step == 2 {
+                while !session.gemm_slice(s, &w, &mut out, 1).done {}
+            } else {
+                session.gemm_into(s, &w, &mut out);
             }
             assert_eq!(out, spiking_gemm(s, &w), "{backend} step {step}");
         }

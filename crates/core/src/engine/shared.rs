@@ -357,14 +357,6 @@ impl SharedPlanCache {
         self.len() == 0
     }
 
-    /// Drops every cached plan in every shard (capacity unchanged). Affects
-    /// all sessions sharing this cache.
-    pub fn clear(&self) {
-        for s in self.shards.iter() {
-            self.lock_shard(s).cache.clear();
-        }
-    }
-
     /// Zeroes the per-shard aggregate counters (hits, misses, insertions,
     /// evictions, bypasses, dedups, restored hits, lock hold time). Cache
     /// contents, residency, and admission state are untouched — this resets

@@ -87,7 +87,8 @@ const VERSION: u32 = 1;
 /// Fixed header size: magic (4) + version (4) + count (4) + checksum (8).
 const HEADER_BYTES: usize = 20;
 
-/// Errors raised while decoding or loading a serialized snapshot.
+/// Errors raised while decoding a serialized snapshot or while a
+/// [`SnapshotStore`](super::SnapshotStore) reads, writes or lists its files.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The buffer does not start with the `PSNP` magic.
@@ -100,7 +101,8 @@ pub enum SnapshotError {
     ChecksumMismatch,
     /// A field held an invalid value (e.g. an out-of-range prefix index).
     Corrupt(&'static str),
-    /// Reading the snapshot file failed.
+    /// A filesystem operation failed: creating the store directory, or
+    /// reading, writing, renaming, listing or pruning snapshot files.
     Io(String),
 }
 

@@ -193,7 +193,12 @@ impl TileExec for TileMeta {
 /// processes, so the loop itself never allocates. The output widths the
 /// measured workloads serve get a body specialized to their constant
 /// width; every other width runs the same body with a runtime width.
+///
+/// Kept out of line: inlined into [`execute_row_tiles`]' row-group loop, it
+/// made a session's 512×256×16 GeMM (N = 16) about 20% slower at the median
+/// on a 2-vCPU x86-64 host.
 // analyze: hot-path
+#[inline(never)]
 pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
     k_tiles: &[V],
     weights: &WeightMatrix<T>,
@@ -324,11 +329,10 @@ fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
 /// Executes a contiguous range of row groups `[start, start + count)` of a
 /// placed-tile grid serially, each into its `tile_m × n` output chunk.
 ///
-/// This is the executor the session's serial whole-GeMM path and its sliced
-/// (`gemm_slice`) path share: a slice is just a sub-range of row groups, so
-/// executing `[0, gm)` in one call and executing it as several disjoint
-/// ranges produce bit-identical output — row groups never share output
-/// elements or carry state across each other.
+/// This is the session's executor: a slice (`gemm_slice`) is a sub-range of
+/// row groups and a whole GeMM is `[0, gm)`, so executing it in one call or
+/// as several disjoint ranges produces bit-identical output — row groups
+/// never share output elements or carry state across each other.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_row_tiles<T: Copy + Default + AddAssign, V: TileExec>(
     tiles: &[V],

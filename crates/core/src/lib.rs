@@ -53,11 +53,21 @@
 //!   [`plan`]), with `detect`/`prune` kept as the oracle;
 //! * the executor accumulates into a flat per-row-tile arena with no heap
 //!   allocation inside the tile loop (see [`exec`]);
-//! * both stages distribute independent tiles / row-tiles across threads
-//!   via `rayon` (`RAYON_NUM_THREADS` sets the count), with bit-identical
-//!   results — serial reference entry points
+//! * the one-shot kernels ([`plan::ProSparsityPlan::build_tiled`],
+//!   [`exec::execute_plan`], [`exec::prosparsity_gemm`]) distribute
+//!   independent tiles / row-tiles across threads via `rayon`
+//!   (`RAYON_NUM_THREADS` sets the count), with bit-identical results —
+//!   serial reference entry points
 //!   ([`plan::ProSparsityPlan::build_tiled_serial`],
 //!   [`exec::execute_plan_serial`]) remain for ablation and testing.
+//!
+//! # Threads
+//!
+//! `RAYON_NUM_THREADS` governs only those one-shot kernels. An
+//! [`engine::Session`] — and [`engine::BatchScheduler::run`], which drives
+//! sessions — executes every GeMM and slice on the calling thread, one
+//! row-tile at a time. Lane-level parallelism comes from
+//! [`engine::BatchScheduler::run_concurrent`], one thread per lane.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,8 +99,10 @@ pub fn parallel_enabled() -> bool {
     true
 }
 
-/// Worker threads the parallel paths will actually use: rayon's pool size
-/// (respects `RAYON_NUM_THREADS`). At 1 they run the serial code. Benches
+/// Worker threads the one-shot kernels (`build_tiled`, `execute_plan`,
+/// `prosparsity_gemm`) fan out across: rayon's pool size (respects
+/// `RAYON_NUM_THREADS`). At 1 they run the serial code. Sessions and
+/// `BatchScheduler::run` ignore it and execute on the calling thread. Benches
 /// record this as `threads_effective` so single-core runs are not held to
 /// parallel≥serial expectations.
 pub fn parallel_threads() -> usize {

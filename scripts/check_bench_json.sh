@@ -81,6 +81,7 @@ need BENCH_e2e.json \
 for name in correlated_trace fig8_spikingbert attention_stream; do
     need BENCH_e2e.json ".scenarios[] | select(.name == \"$name\")" "e2e $name row"
 done
+need BENCH_e2e.json 'has("threads_effective")' "e2e threads_effective"
 
 # BENCH_serving.json: the documented scenario set, stats blocks included.
 for name in shared_cache_2 shared_cache_4 shared_cache_8 fig8_admission warm_start qos preemption shard_tuning resilience fleet; do

@@ -81,8 +81,8 @@ fn assert_steady_gemms_allocation_free(
 ) {
     let mut out = OutputMatrix::zeros(0, 0);
     for s in inputs {
-        engine.gemm_into_serial(s, weights, &mut out); // plan + size buffers
-        engine.gemm_into_serial(s, weights, &mut out); // warm the pools
+        engine.gemm_into(s, weights, &mut out); // plan + size buffers
+        engine.gemm_into(s, weights, &mut out); // warm the arena
     }
     // The counted loop below ends on the last input of the rotation.
     let reference = engine.gemm(inputs.last().unwrap(), weights);
@@ -91,13 +91,13 @@ fn assert_steady_gemms_allocation_free(
     let gemm_allocs = count_allocs(|| {
         for _ in 0..8 {
             for s in inputs {
-                engine.gemm_into_serial(s, weights, &mut out);
+                engine.gemm_into(s, weights, &mut out);
             }
         }
     });
     assert_eq!(
         gemm_allocs, 0,
-        "{label}: steady-state serial GeMM steps must not allocate"
+        "{label}: steady-state GeMM steps must not allocate"
     );
     assert_eq!(
         engine.stats().cache_misses,
@@ -113,9 +113,8 @@ fn assert_steady_gemms_allocation_free(
 
 #[test]
 fn steady_state_serving_hot_path_is_allocation_free() {
-    // --- GeMM steady state (serial path: the parallel path hands work to
-    // rayon, whose queueing inherently allocates; the serial kernel is the
-    // per-step cost model the paper's executor maps to). Each leg runs a
+    // --- GeMM steady state through `gemm_into`, which runs every row-tile
+    // on the calling thread. Each leg's GeMMs span two row-tiles and run a
     // small rotation of inputs, all planned and cached during warmup, so
     // steady-state steps alternate tiles while hitting the cache.
     let mut rng = StdRng::seed_from_u64(0xA110C);

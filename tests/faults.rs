@@ -52,7 +52,7 @@ fn serial_private_oracle(batch: &TenantBatch, config: EngineConfig) -> Vec<Vec<O
             let mut outs = Vec::with_capacity(stream.len());
             for spikes in stream {
                 let mut out = OutputMatrix::zeros(0, 0);
-                engine.gemm_into_serial(spikes, w, &mut out);
+                engine.gemm_into(spikes, w, &mut out);
                 outs.push(out);
             }
             outs
@@ -480,7 +480,7 @@ fn admission_gc_collects_a_quarantined_lanes_window() {
     let traces: Vec<Vec<TraceStep<'_, i64>>> = (0..3).map(|_| vec![(&spikes, &w); 12]).collect();
     let mut oracle_engine = Session::new(EngineConfig::new(tile, 2048));
     let mut want = OutputMatrix::zeros(0, 0);
-    oracle_engine.gemm_into_serial(&spikes, &w, &mut want);
+    oracle_engine.gemm_into(&spikes, &w, &mut want);
 
     let guard = faults::install(FaultPlan::lane_panic(0, 2));
     let mut per_lane = [0usize; 3];

@@ -154,7 +154,7 @@ fn serial_oracle(
         .iter()
         .map(|spikes| {
             let mut out = OutputMatrix::zeros(0, 0);
-            engine.gemm_into_serial(spikes, weights, &mut out);
+            engine.gemm_into(spikes, weights, &mut out);
             out
         })
         .collect()

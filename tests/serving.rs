@@ -49,7 +49,7 @@ fn serial_private_oracle(batch: &TenantBatch, config: EngineConfig) -> Vec<Vec<O
             let mut outs = Vec::with_capacity(stream.len());
             for spikes in stream {
                 let mut out = OutputMatrix::zeros(0, 0);
-                engine.gemm_into_serial(spikes, w, &mut out);
+                engine.gemm_into(spikes, w, &mut out);
                 outs.push(out);
             }
             outs
@@ -212,9 +212,8 @@ fn sliced_scheduling_matches_serial_private_oracle_across_quanta() {
 }
 
 /// Session-level slicing: driving `gemm_slice` by hand — with a different
-/// random bound every visit, including 0 = "the rest" — matches
-/// `gemm_into_serial`, for both the parallel and serial slice entry
-/// points; the cursor state machine reports in-flight correctly and
+/// random bound every visit, including 0 = "the rest" — matches the
+/// private-session oracle; the cursor state machine reports in-flight correctly and
 /// `reset_slice` abandons a partial GeMM cleanly.
 #[test]
 fn session_gemm_slice_matches_serial_across_mixed_quanta() {
@@ -224,7 +223,6 @@ fn session_gemm_slice_matches_serial_across_mixed_quanta() {
         let tile = TileShape::new(rng.gen_range(1..=20), rng.gen_range(1..=20));
         let config = EngineConfig::new(tile, 64);
         let oracle = serial_private_oracle(&batch, config);
-        let serial_slices = trial % 2 == 0;
         let mut engine = Session::new(config);
         for (tenant, (stream, w)) in batch.streams.iter().zip(&batch.weights).enumerate() {
             for (step, spikes) in stream.iter().enumerate() {
@@ -236,11 +234,7 @@ fn session_gemm_slice_matches_serial_across_mixed_quanta() {
                     } else {
                         rng.gen_range(1..=3)
                     };
-                    let run = if serial_slices {
-                        engine.gemm_slice_serial(spikes, w, &mut out, max)
-                    } else {
-                        engine.gemm_slice(spikes, w, &mut out, max)
-                    };
+                    let run = engine.gemm_slice(spikes, w, &mut out, max);
                     visits += 1;
                     if run.done {
                         assert!(!engine.slice_in_flight());
@@ -251,7 +245,7 @@ fn session_gemm_slice_matches_serial_across_mixed_quanta() {
                 }
                 assert_eq!(
                     out, oracle[tenant][step],
-                    "trial {trial} tenant {tenant} step {step} serial={serial_slices}"
+                    "trial {trial} tenant {tenant} step {step}"
                 );
             }
         }
@@ -370,7 +364,7 @@ fn tenant_model_traces_serve_exactly() {
                 .iter()
                 .map(|&(s, w)| {
                     let mut out = OutputMatrix::zeros(0, 0);
-                    engine.gemm_into_serial(s, w, &mut out);
+                    engine.gemm_into(s, w, &mut out);
                     out
                 })
                 .collect()
@@ -409,7 +403,7 @@ fn admission_bypass_is_lossless_and_reversible() {
         let s = prosperity::spikemat::SpikeMatrix::random(64, 48, 0.4, &mut rng);
         let w = WeightMatrix::from_fn(48, 4, |r, c| (r * 3 + c) as i64 - 20);
         engine.gemm_into(&s, &w, &mut out);
-        oracle.gemm_into_serial(&s, &w, &mut want);
+        oracle.gemm_into(&s, &w, &mut want);
         assert_eq!(out, want);
     }
     assert!(
@@ -424,7 +418,7 @@ fn admission_bypass_is_lossless_and_reversible() {
     let before = engine.stats().cache_hits;
     for _ in 0..20 {
         engine.gemm_into(&s, &w, &mut out);
-        oracle.gemm_into_serial(&s, &w, &mut want);
+        oracle.gemm_into(&s, &w, &mut want);
         assert_eq!(out, want);
     }
     assert!(
@@ -497,8 +491,8 @@ fn snapshot_restored_sessions_serve_identically_but_warmer() {
 
 /// Plans restored from a decoded snapshot replay losslessly at every
 /// output width: the two the executor specializes (16, 128) and a runtime
-/// width with a tail strip (130), through the parallel, serial and
-/// quantum-1 sliced paths. Rows drawn from a few base rows give deep prefix
+/// width with a tail strip (130), through the whole-GeMM and quantum-1
+/// sliced paths. Rows drawn from a few base rows give deep prefix
 /// chains, so the derived replay order is exercised.
 #[test]
 fn snapshot_restored_plans_replay_losslessly_at_every_width() {
@@ -530,8 +524,6 @@ fn snapshot_restored_plans_replay_losslessly_at_every_width() {
         let mut out = OutputMatrix::zeros(0, 0);
         warm.gemm_into(&spikes, &w, &mut out);
         assert_eq!(out, want, "n {n}: gemm_into");
-        warm.gemm_into_serial(&spikes, &w, &mut out);
-        assert_eq!(out, want, "n {n}: gemm_into_serial");
         while !warm.gemm_slice(&spikes, &w, &mut out, 1).done {}
         assert_eq!(out, want, "n {n}: gemm_slice quantum 1");
         assert_eq!(
@@ -600,11 +592,11 @@ fn per_tenant_admission_isolates_hot_and_cold_tenants() {
     let hot_spikes = prosperity::spikemat::SpikeMatrix::random(64, 48, 0.4, &mut rng);
     for _ in 0..24 {
         hot.gemm_into(&hot_spikes, &w, &mut out);
-        oracle.gemm_into_serial(&hot_spikes, &w, &mut want);
+        oracle.gemm_into(&hot_spikes, &w, &mut want);
         assert_eq!(out, want);
         let cold_spikes = prosperity::spikemat::SpikeMatrix::random(64, 48, 0.4, &mut rng);
         cold.gemm_into(&cold_spikes, &w, &mut out);
-        oracle.gemm_into_serial(&cold_spikes, &w, &mut want);
+        oracle.gemm_into(&cold_spikes, &w, &mut want);
         assert_eq!(out, want);
     }
     // Independent decisions: the cold tenant's stream closed its own
@@ -675,7 +667,7 @@ fn begin_batch_stops_run_a_admission_from_gating_run_b() {
     clean.run(&run_b, |lane, step, out| {
         let mut oracle = Session::new(EngineConfig::new(tile, 4096));
         let mut want = OutputMatrix::zeros(0, 0);
-        oracle.gemm_into_serial(&hot, &w, &mut want);
+        oracle.gemm_into(&hot, &w, &mut want);
         assert_eq!(out, &want, "lane {lane} step {step}");
     });
     let fresh = clean.merged_stats();
