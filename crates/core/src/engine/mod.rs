@@ -11,6 +11,7 @@
 //! | [`batch`] | [`BatchScheduler`] interleaving many traces over one shared cache (QoS policies, lane quarantine) |
 //! | [`service`] | [`ServingLoop`]: background snapshot export + admission GC cadences |
 //! | [`stats`] | mergeable per-session counters + shared-cache/scheduler aggregates |
+//! | [`fleet`] | consistent-hash tenant placement ([`Ring`]) + the in-process multi-node [`FleetHarness`] |
 //! | `faults` | deterministic fault injection (tests and the `fault-injection` feature only) |
 //!
 //! [`crate::exec::prosparsity_gemm`] re-plans and re-allocates everything on

@@ -29,14 +29,14 @@
 //! 8. [`policy`] — prefix-selection policy ablation (largest-subset vs
 //!    cheaper alternatives; EM-only / PM-only contribution split).
 //! 9. [`engine`] — the serving runtime, a layered module tree
-//!    (`engine::{cache, shared, pool, session, batch, stats}`): reusable
-//!    [`Session`]s run whole models through the kernels with a tile-level
-//!    plan cache (temporally correlated tiles skip planning), pooled
-//!    buffers, and zero steady-state allocation; a sharded
-//!    [`SharedPlanCache`] lets concurrent sessions reuse each other's
-//!    plans, a [`BatchScheduler`] interleaves many traces through it, and
-//!    an adaptive admission policy protects uncorrelated streams from
-//!    cache-bookkeeping overhead.
+//!    (`engine::{cache, shared, snapshot, store, session, batch, service,
+//!    stats, fleet}`): reusable [`Session`]s run whole models through the
+//!    kernels with a tile-level plan cache (temporally correlated tiles
+//!    skip planning), recycled buffers, and zero steady-state allocation;
+//!    a sharded [`SharedPlanCache`] lets concurrent sessions reuse each
+//!    other's plans, a [`BatchScheduler`] interleaves many traces through
+//!    it, and an adaptive admission policy protects uncorrelated streams
+//!    from cache-bookkeeping overhead.
 //!
 //! # Losslessness
 //!

@@ -36,9 +36,15 @@
 //!   nonzero positions before the row, the highest remaining bit is the
 //!   prefix, taken without a branch. Masks and tables hold 256 positions
 //!   (the paper's default tile height) per step, and a taller tile queries
-//!   its steps in ascending order;
+//!   its steps in ascending order. In its own step a row reads only the
+//!   mask words up to its own position's, the only ones holding
+//!   candidates; in earlier steps it reads all four;
 //! * the patterns are one copy of the limbs, each prefixed row XORed in
 //!   place with its prefix's limbs;
+//! * a tile of at most 64 columns (the paper's default 256 × 16 tile
+//!   among them) runs the planner with a constant one-limb row stride in
+//!   the popcount pass, the transpose gather, the per-row query and the
+//!   pattern XOR; wider tiles run the same body with a runtime stride;
 //! * the stored order is the **replay order**: the Dispatcher's order
 //!   re-sorted stably by (forest depth, pattern popcount) with two more
 //!   counting passes, so rows the executor replays back to back do the same
@@ -227,7 +233,8 @@ impl TileMeta {
         {
             return Err("row prefix");
         }
-        self.exec_order = replay_order(&self.prefix, &mut bufs);
+        let op_keys = bufs.popcounts.iter().max().map_or(0, |&p| p + 1);
+        self.exec_order = replay_order(&self.prefix, op_keys, &mut bufs);
         Ok(())
     }
 
@@ -273,7 +280,9 @@ pub(crate) fn derived_kind(prefix: u32, pattern: &[u64]) -> MatchKind {
 /// Thread one instance through [`ProSparsityPlan::build_tiled_with`] or
 /// [`TileMeta::build_with`] to keep repeated planning (e.g. across the
 /// timesteps of a model trace) free of transient allocation; each engine
-/// `Session` owns one for exactly this purpose.
+/// `Session` owns one for exactly this purpose. Buffers are sized by the
+/// tile, not by the row stride the planner runs with, so tiles of any
+/// width share one instance.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     /// The current tile's row-major limbs (its plan-cache key).
@@ -358,11 +367,13 @@ fn place(
 /// A tile's replay order: the Dispatcher's topological order
 /// `bufs.dispatch` re-sorted stably by pattern popcount, then by forest
 /// depth, so it runs by (depth, pattern popcount) with ties in Dispatcher
-/// position. Both keys are counting passes whose buckets are sized by the
-/// largest row popcount and the row count, so they stay `O(k + depth)`
-/// even for a chain of identical rows, and a snapshot's declared width
-/// sizes nothing. One sweep computes both keys and both histograms.
-fn replay_order(prefix: &[u32], bufs: &mut OrderBufs) -> Vec<u32> {
+/// position. Both keys are counting passes: `op_keys` bounds every row's
+/// popcount from above, and the depth buckets are sized by the row count,
+/// so they stay `O(k + depth)` even for a chain of identical rows. The
+/// planner passes `k + 1`; snapshot decode derives the bound from the
+/// popcounts, so a declared width sizes nothing. One sweep computes both
+/// keys and both histograms.
+fn replay_order(prefix: &[u32], op_keys: usize, bufs: &mut OrderBufs) -> Vec<u32> {
     let m = prefix.len();
     let OrderBufs {
         popcounts,
@@ -372,7 +383,6 @@ fn replay_order(prefix: &[u32], bufs: &mut OrderBufs) -> Vec<u32> {
         ops,
         by_pattern,
     } = bufs;
-    let op_keys = popcounts.iter().max().map_or(0, |&p| p + 1);
     // Index `m` stands for "no prefix": a root's depth wraps to 0 from it.
     depth.clear();
     depth.resize(m + 1, u32::MAX);
@@ -418,7 +428,8 @@ fn replay_order(prefix: &[u32], bufs: &mut OrderBufs) -> Vec<u32> {
 /// plan-cache key that [`SpikeMatrix::tile_key_into`] writes.
 ///
 /// Returns the meta of a tile placed at (0, 0) plus the tile's spike-bit
-/// count (reused for stats).
+/// count (reused for stats). Runs [`plan_tile`] with the row stride the
+/// module docs give for `k`.
 // analyze: hot-path
 pub(crate) fn build_tile_meta(
     limbs: &[u64],
@@ -426,7 +437,22 @@ pub(crate) fn build_tile_meta(
     k: usize,
     scratch: &mut PlanScratch,
 ) -> (TileMeta, u64) {
-    let words = k.div_ceil(64);
+    match k.div_ceil(64) {
+        1 => plan_tile::<1>(limbs, m, k, scratch),
+        _ => plan_tile::<0>(limbs, m, k, scratch),
+    }
+}
+
+/// [`build_tile_meta`]'s body for `W` limbs per row, or for the runtime
+/// `⌈k/64⌉` when `W` is 0.
+// analyze: hot-path
+fn plan_tile<const W: usize>(
+    limbs: &[u64],
+    m: usize,
+    k: usize,
+    scratch: &mut PlanScratch,
+) -> (TileMeta, u64) {
+    let words = if W == 0 { k.div_ceil(64) } else { W };
     assert!(m < NO_PREFIX as usize, "{m} rows overflow a u32 row index");
     assert_eq!(limbs.len(), m * words, "not the limbs of a {m}×{k} tile");
     let PlanScratch {
@@ -445,7 +471,7 @@ pub(crate) fn build_tile_meta(
 
     popcounts.clear();
     popcounts.resize(m, 0);
-    for (pc, row) in popcounts.iter_mut().zip(limbs.chunks(words.max(1))) {
+    for (pc, row) in popcounts.iter_mut().zip(limbs.chunks_exact(words.max(1))) {
         *pc = row.iter().map(|l| l.count_ones() as usize).sum();
     }
     let spike_bits: u64 = popcounts.iter().map(|&p| p as u64).sum();
@@ -461,9 +487,9 @@ pub(crate) fn build_tile_meta(
     let zero_rows = popcounts.iter().filter(|&&p| p == 0).count();
     let mut prefix = vec![NO_PREFIX; m];
     let rows = (limbs, words);
-    transpose(rows, dispatch, col_masks);
+    transpose::<W>(rows, dispatch, col_masks);
     let bufs = (subset_tables, position_row);
-    prune(rows, k, (dispatch, zero_rows), col_masks, bufs, &mut prefix);
+    prune::<W>(rows, k, (dispatch, zero_rows), col_masks, bufs, &mut prefix);
 
     let mut pattern_limbs = limbs.to_vec();
     if words > 0 {
@@ -471,7 +497,8 @@ pub(crate) fn build_tile_meta(
             if p == NO_PREFIX {
                 continue;
             }
-            let prefix_limbs = limbs.get(p as usize * words..).unwrap_or(&[]);
+            let at = p as usize * words;
+            let prefix_limbs = limbs.get(at..at + words).unwrap_or(&[]);
             for (a, b) in row.iter_mut().zip(prefix_limbs) {
                 *a ^= b;
             }
@@ -484,7 +511,8 @@ pub(crate) fn build_tile_meta(
             valid_rows: m,
             valid_cols: k,
             width: k,
-            exec_order: replay_order(&prefix, orders),
+            // No row has a bit past column `k`.
+            exec_order: replay_order(&prefix, k + 1, orders),
             prefix,
             pattern_limbs,
             sorter_stages: sorter.stages(),
@@ -517,8 +545,14 @@ type Table = [Step; ENTRIES];
 /// count per row. Masks are stored step-major, `64 · words` columns per
 /// step, columns past `k` zero. Each 64×64 bit block is gathered and
 /// transposed at once (~6·32 word ops instead of a bit-by-bit scatter).
+/// `W` is [`plan_tile`]'s limb count.
 // analyze: hot-path
-fn transpose((limbs, words): (&[u64], usize), dispatch: &[u32], col_masks: &mut Vec<Step>) {
+fn transpose<const W: usize>(
+    (limbs, words): (&[u64], usize),
+    dispatch: &[u32],
+    col_masks: &mut Vec<Step>,
+) {
+    let words = if W == 0 { words } else { W };
     let cols = 64 * words;
     col_masks.clear();
     col_masks.resize(dispatch.len().div_ceil(64 * STEP) * cols, [0; STEP]);
@@ -546,15 +580,16 @@ fn transpose((limbs, words): (&[u64], usize), dispatch: &[u32], col_masks: &mut 
 }
 
 /// The Pruner (module docs), writing each nonzero row's prefix. `rows` is
-/// the tile's row-major limbs and their count per row, `dispatch` the
-/// Dispatcher's order and the number of zero rows leading it, and
-/// `col_masks` the tile as [`transpose`] lays it out. `tables` receives,
-/// per step and [`GROUP`]-column group, the OR of the column masks of each
-/// subset of the group's columns; `position_row` receives the row at
-/// position `p` in slot `p + 1` and [`NO_PREFIX`] in slot 0, so the
-/// highest subset position plus one, or 0 for none, looks up the prefix.
+/// the tile's row-major limbs and their count per row (`W` is
+/// [`plan_tile`]'s), `dispatch` the Dispatcher's order and the number of
+/// zero rows leading it, and `col_masks` the tile as [`transpose`] lays it
+/// out. `tables` receives, per step and [`GROUP`]-column group, the OR of
+/// the column masks of each subset of the group's columns; `position_row`
+/// receives the row at position `p` in slot `p + 1` and [`NO_PREFIX`] in
+/// slot 0, so the highest subset position plus one, or 0 for none, looks up
+/// the prefix.
 // analyze: hot-path
-fn prune(
+fn prune<const W: usize>(
     (limbs, words): (&[u64], usize),
     k: usize,
     (dispatch, zero_rows): (&[u32], usize),
@@ -562,6 +597,7 @@ fn prune(
     (tables, position_row): (&mut Vec<Table>, &mut Vec<u32>),
     prefix: &mut [u32],
 ) {
+    let words = if W == 0 { words } else { W };
     position_row.clear();
     position_row.push(NO_PREFIX);
     position_row.extend_from_slice(dispatch);
@@ -598,8 +634,16 @@ fn prune(
         // found in a later step replaces an earlier step's.
         let mut window = [0u64; STEP];
         for (p, &r) in dispatch.iter().enumerate().skip(start.max(zero_rows)) {
-            let row = limbs.get(r as usize * words..).unwrap_or(&[]);
-            let slot = subset_slot(step, start, row, window);
+            let at = r as usize * words;
+            let row = limbs.get(at..at + words).unwrap_or(&[]);
+            // A row in this step finds candidates only in the words up to
+            // its own; a row of a later step in all of them.
+            let slot = match (p - start) / 64 {
+                0 => subset_slot::<1>(step, start, row, &window),
+                1 => subset_slot::<2>(step, start, row, &window),
+                2 => subset_slot::<3>(step, start, row, &window),
+                _ => subset_slot::<STEP>(step, start, row, &window),
+            };
             if let (Some(dst), Some(&found)) = (prefix.get_mut(r as usize), position_row.get(slot))
             {
                 *dst = if slot != 0 { found } else { *dst };
@@ -612,13 +656,18 @@ fn prune(
 }
 
 /// The highest position among `candidates` that holds a subset of `row`,
-/// plus one, or 0 for none, querying one step's `tables` whose first
-/// position is `start`: a position outside the subsets has a bit in a
-/// column the row lacks, so it is in the row's complement's table entry
-/// for some group.
+/// plus one, or 0 for none, querying the first `S` words of one step's
+/// `tables` whose first position is `start`: a position outside the
+/// subsets has a bit in a column the row lacks, so it is in the row's
+/// complement's table entry for some group.
 // analyze: hot-path
-fn subset_slot(tables: &[Table], start: usize, row: &[u64], candidates: Step) -> usize {
-    let mut outside = [0u64; STEP];
+fn subset_slot<const S: usize>(
+    tables: &[Table],
+    start: usize,
+    row: &[u64],
+    candidates: &Step,
+) -> usize {
+    let mut outside = [0u64; S];
     for (limb_tables, &limb) in tables.chunks(64 / GROUP).zip(row) {
         let mut absent = !limb;
         for table in limb_tables {
@@ -631,7 +680,7 @@ fn subset_slot(tables: &[Table], start: usize, row: &[u64], candidates: Step) ->
         }
     }
     let mut slot = 0;
-    for (i, (&o, &c)) in outside.iter().zip(&candidates).enumerate() {
+    for (i, (&o, &c)) in outside.iter().zip(candidates).enumerate() {
         let subsets = !o & c;
         let top = start + 64 * (i + 1) - subsets.leading_zeros() as usize;
         slot = if subsets != 0 { top } else { slot };
@@ -942,7 +991,9 @@ mod tests {
 
     /// The Pruner against the staged oracle on random, duplicate-heavy,
     /// all-identical, single-bit, all-zero and ragged tiles, across one to
-    /// five mask words and one to three pattern limbs.
+    /// five mask words and one to three pattern limbs, so both limb-count
+    /// bodies of the planner run. Besides random heights, every height at
+    /// a switch in the per-row query's word count runs.
     #[test]
     fn pruner_matches_the_staged_oracle_on_edge_tiles() {
         use crate::detect::detect_tile;
@@ -951,15 +1002,15 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x9011);
         let (mut scratch, mut key) = (PlanScratch::new(), Vec::new());
+        let word_boundaries = [63, 64, 65, 127, 128, 129, 191, 192, 193, 255, 256, 257];
         for k in [1, 3, 4, 5, 16, 17, 63, 64, 65, 140] {
-            for rep in 0..3 {
-                // The first tile is the paper's 256 rows high: a 256-deep
-                // identical chain.
-                let m = if rep == 0 {
-                    256
-                } else {
-                    rng.gen_range(1..=300)
-                };
+            // The first tile is the paper's 256 rows high: a 256-deep
+            // identical chain. `None` draws a random height.
+            let heights = [Some(256), None, None]
+                .into_iter()
+                .chain(word_boundaries.map(Some));
+            for m in heights {
+                let m = m.unwrap_or_else(|| rng.gen_range(1..=300));
                 let mut identical = SpikeMatrix::random(1, k, 0.5, &mut rng).row(0).clone();
                 identical.set(k - 1, true);
                 let single_bit = (0..m)
