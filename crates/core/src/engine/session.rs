@@ -101,7 +101,8 @@ pub struct Session<T = i64> {
     gk: usize,
     /// Sliced-execution position within the current GeMM.
     cursor: StepCursor,
-    /// The executor's prefix-row arena, recycled across row-tiles and GeMMs.
+    /// The executor's prefix-row arena, reused by every row-tile and GeMM;
+    /// sized in the [`crate::exec`] docs.
     arena: Vec<T>,
     /// Layer output recycled by [`Session::forward_chain`].
     chain_out: OutputMatrix<T>,

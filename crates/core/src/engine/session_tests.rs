@@ -375,3 +375,20 @@ fn own_cache_recovers_from_a_panic_under_its_shard_lock() {
     assert_eq!(out, spiking_gemm(&s, &w));
     assert_eq!(session.shared_cache().unwrap().stats().shard_resets, 1);
 }
+
+/// The executor's arena holds one 16-column strip per tile row plus the
+/// zero row, whatever the output width: a wide GeMM does not grow it.
+#[test]
+fn arena_holds_one_strip_per_tile_row_at_every_width() {
+    let mut rng = StdRng::seed_from_u64(44);
+    let tile = TileShape::new(32, 16);
+    let s = SpikeMatrix::random(64, 48, 0.3, &mut rng);
+    let mut session = Session::new(EngineConfig::new(tile, 64));
+    let mut out = OutputMatrix::zeros(0, 0);
+    for n in [128, 130] {
+        let w = WeightMatrix::from_fn(48, n, |_, _| rng.gen_range(-50i64..50));
+        session.gemm_into(&s, &w, &mut out);
+        assert_eq!(out, spiking_gemm(&s, &w), "n {n}");
+        assert_eq!(session.arena.len(), (tile.m + 1) * 16, "n {n}");
+    }
+}

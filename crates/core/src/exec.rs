@@ -13,25 +13,23 @@
 //! The kernel is built so that consecutive rows do the same work, which
 //! keeps its branches predictable:
 //!
-//! * One row loop serves every row. Each row is built in fixed strips of
-//!   16 output columns (plus one narrower tail strip): a strip is a `[T; 16]`
-//!   accumulator the compiler keeps in registers while the bit scan adds the
-//!   selected weight-row strips into it, so the accumulator is loaded once
-//!   and written out once per strip, not once per set pattern bit. The code
-//!   is plain safe Rust; the compiler vectorizes the constant-width strip
-//!   adds.
+//! * One row loop serves every row. Each `k`-tile replays its rows once per
+//!   strip of 16 output columns (plus one narrower tail strip), each row
+//!   into a `[T; 16]` accumulator the compiler keeps in registers while the
+//!   bit scan adds the selected weight-row strips into it. The code is
+//!   plain safe Rust; the compiler vectorizes the constant-width adds.
 //! * The output widths the measured workloads serve, 16 and 128, get the
 //!   loop specialized to a constant width, so the strip count and the
 //!   weight-row stride are constants. Every other width runs the same loop
 //!   with a runtime width.
-//! * Tile-local partials live in one flat arena of `(tile_rows + 1) × n`
-//!   elements per row-tile, indexed by row offset — no per-row heap
-//!   allocation inside the tile loop. Every replayed row stores its
-//!   partial there, so no row needs to know whether a later row loads it.
-//!   A row without a prefix seeds from the zero row at the end, so the seed
-//!   has no branch. All-zero rows, padding included, lead the replay order
-//!   and are never prefixes, so each tile skips that run before its row
-//!   loop.
+//! * Tile-local partials live in one flat arena of `(tile_rows + 1) × 16`
+//!   elements, one strip per tile row plus a zero row, whatever the output
+//!   width: 33 KB of `i64` for a 256-row tile, so prefix loads and partial
+//!   stores stay in L1 on wide GeMMs too. Every replayed row stores its
+//!   partial there, so no row needs to know whether a later row loads it,
+//!   and a row without a prefix seeds from the zero row without a branch.
+//!   All-zero rows, padding included, lead the replay order and are never
+//!   prefixes, so each tile skips that run before its row loop.
 //! * Rows run in the plan's replay order ([`TileMeta::exec_order`]): the
 //!   Dispatcher's order re-sorted by (forest depth, pattern popcount), so
 //!   rows with the same bit-scan trip count run back to back.
@@ -190,9 +188,8 @@ impl TileExec for TileMeta {
 ///
 /// `out_chunk` holds the group's `valid_rows × n` output elements; the
 /// arena is caller-owned and reused across every tile this worker
-/// processes, so the loop itself never allocates. The output widths the
-/// measured workloads serve get a body specialized to their constant
-/// width; every other width runs the same body with a runtime width.
+/// processes, so the loop itself never allocates. Widths 16 and 128 run a
+/// body specialized to their constant width (module docs).
 ///
 /// Kept out of line: inlined into [`execute_row_tiles`]' row-group loop, it
 /// made a session's 512×256×16 GeMM (N = 16) about 20% slower at the median
@@ -217,15 +214,13 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
 /// [`execute_row_tile`]'s body for output width `N`, or for the runtime
 /// width `n` when `N` is 0.
 ///
-/// Each `k`-tile walks its rows in the plan's replay order. Every row is
-/// built in fixed strips of `STRIP` output columns (plus one narrower tail
-/// strip), each a register-resident accumulator: seeded from the arena,
+/// Each `k`-tile replays its rows in the plan's replay order once per
+/// output strip of `STRIP` columns (plus one narrower tail strip). Per
+/// strip, a row's register-resident accumulator is seeded from its
+/// prefix's partial in the arena (Step 9, the module docs give its size),
 /// plus the weight-row strips selected by the pattern's set bits (Steps
-/// 10–11, bit-scan-forward), stored to the arena as the row's tile-local
-/// partial (Step 9's prefix load source), and added into the output row
-/// (Step 12). A row without a prefix seeds from the zero row past the last
-/// tile row, so no row takes a branch of its own. Zero rows, padding rows
-/// included, lead the replay order and are skipped as one run.
+/// 10–11, bit-scan-forward), stored to the arena as the row's own partial,
+/// and added into the output row (Step 12).
 // analyze: hot-path
 #[inline(always)]
 fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
@@ -241,11 +236,11 @@ fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
         .map(|t| t.meta().prefix.len())
         .max()
         .unwrap_or(0);
-    let zero_row = tile_rows * n;
-    if arena.len() < zero_row + n {
-        arena.resize(zero_row + n, T::default());
+    let zero_row = tile_rows * STRIP;
+    if arena.len() < zero_row + STRIP {
+        arena.resize(zero_row + STRIP, T::default());
     }
-    if let Some(zeros) = arena.get_mut(zero_row..zero_row + n) {
+    if let Some(zeros) = arena.get_mut(zero_row..zero_row + STRIP) {
         zeros.fill(T::default());
     }
     for tile in k_tiles {
@@ -267,22 +262,22 @@ fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
                     .is_some_and(|p| p.iter().all(|&l| l == 0))
             })
             .count();
-        for &r in meta.exec_order.iter().skip(zero_rows) {
-            let r = r as usize;
-            // The planner sizes both to the tile's rows, so these always
-            // resolve; `get` keeps the loop free of panic paths.
-            let (Some(&prefix), Some(pattern)) = (
-                meta.prefix.get(r),
-                meta.pattern_limbs.get(r * wpr..(r + 1) * wpr),
-            ) else {
-                continue;
-            };
-            // `NO_PREFIX` clamps to the zero row.
-            let seed = (prefix as usize).min(tile_rows) * n;
-            let store = r * n;
-            let mut strip = |c: usize, width: usize, out_row: Option<&mut [T]>| {
+        let rows = meta.exec_order.get(zero_rows..).unwrap_or_default();
+        let strip = |c: usize, width: usize, arena: &mut [T], out_chunk: &mut [T]| {
+            for &r in rows {
+                let r = r as usize;
+                // The planner sizes both to the tile's rows, so these always
+                // resolve; `get` keeps the loop free of panic paths.
+                let (Some(&prefix), Some(pattern)) = (
+                    meta.prefix.get(r),
+                    meta.pattern_limbs.get(r * wpr..(r + 1) * wpr),
+                ) else {
+                    continue;
+                };
+                // `NO_PREFIX` clamps to the zero row.
+                let seed = (prefix as usize).min(tile_rows) * STRIP;
                 let mut acc = [T::default(); STRIP];
-                if let Some(src) = arena.get(seed + c..seed + c + width) {
+                if let Some(src) = arena.get(seed..seed + width) {
                     for (a, &x) in acc.iter_mut().zip(src) {
                         *a = x;
                     }
@@ -302,26 +297,25 @@ fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
                         }
                     }
                 }
-                if let Some(dst) = arena.get_mut(store + c..store + c + width) {
+                if let Some(dst) = arena.get_mut(r * STRIP..r * STRIP + width) {
                     for (d, &a) in dst.iter_mut().zip(&acc) {
                         *d = a;
                     }
                 }
-                if let Some(dst) = out_row.and_then(|o| o.get_mut(c..c + width)) {
+                if let Some(dst) = out_chunk.get_mut(r * n + c..r * n + c + width) {
                     for (d, &a) in dst.iter_mut().zip(&acc) {
                         *d += a;
                     }
                 }
-            };
-            let mut out_row = out_chunk.get_mut(store..store + n);
-            let mut c = 0;
-            while c + STRIP <= n {
-                strip(c, STRIP, out_row.as_deref_mut());
-                c += STRIP;
             }
-            if c < n {
-                strip(c, n - c, out_row);
-            }
+        };
+        let mut c = 0;
+        while c + STRIP <= n {
+            strip(c, STRIP, arena, out_chunk);
+            c += STRIP;
+        }
+        if c < n {
+            strip(c, n - c, arena, out_chunk);
         }
     }
 }
@@ -501,7 +495,7 @@ mod tests {
 
     #[test]
     fn stale_arena_contents_never_reach_the_output() {
-        // A pooled arena arrives holding another GeMM's partials: every
+        // A reused arena arrives holding another GeMM's partials: every
         // replayed row stores its partial before a later row loads it, the
         // zero row is cleared on entry, and the skipped rows (all-zero rows
         // and the 14 padding rows of the last row-tile) are never loaded, so
@@ -525,7 +519,7 @@ mod tests {
         for n in [16, 128, 130] {
             let w = WeightMatrix::from_fn(40, n, |_, _| rng.gen_range(-100i64..100));
             let mut out = OutputMatrix::zeros(50, n);
-            let mut arena = vec![1_000_003i64; (shape.m + 1) * 130];
+            let mut arena = vec![1_000_003i64; (shape.m + 1) * STRIP];
             execute_row_tiles(
                 plan.tiles(),
                 gk,

@@ -51,8 +51,8 @@
 //!
 //! * the planner fuses Detector + Pruner into a word-parallel scan (see
 //!   [`plan`]), with `detect`/`prune` kept as the oracle;
-//! * the executor accumulates into a flat per-row-tile arena with no heap
-//!   allocation inside the tile loop (see [`exec`]);
+//! * the executor accumulates into one reused strip arena, sized in
+//!   [`exec`], with no heap allocation inside the tile loop;
 //! * the one-shot kernels ([`plan::ProSparsityPlan::build_tiled`],
 //!   [`exec::execute_plan`], [`exec::prosparsity_gemm`]) distribute
 //!   independent tiles / row-tiles across threads via `rayon`

@@ -608,7 +608,9 @@ fn prune<const W: usize>(
         [[0; STEP]; ENTRIES],
     );
     let step_masks = col_masks.chunks((64 * words).max(1));
-    for (step, masks) in tables.chunks_exact_mut(groups).zip(step_masks) {
+    for (q, (step, masks)) in tables.chunks_exact_mut(groups).zip(step_masks).enumerate() {
+        // Only the words that hold this step's rows can be nonzero.
+        let live = dispatch.len().saturating_sub(64 * STEP * q).div_ceil(64);
         for (table, group) in step.iter_mut().zip(masks.chunks(GROUP)) {
             // Entry `s` is the entry without `s`'s lowest column, plus that
             // column's mask.
@@ -621,7 +623,7 @@ fn prune<const W: usize>(
                 ) else {
                     continue;
                 };
-                for ((e, &l), &c) in entry.iter_mut().zip(low).zip(column) {
+                for ((e, &l), &c) in entry.iter_mut().zip(low).zip(column).take(live) {
                     *e = l | c;
                 }
             }

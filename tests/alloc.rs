@@ -142,6 +142,16 @@ fn steady_state_serving_hot_path_is_allocation_free() {
         &narrow_inputs,
         &narrow_weights,
     );
+    // The same session widened to 128 output columns: the arena holds one
+    // 16-column strip per tile row whatever the width, and the output
+    // buffer grows during warmup only.
+    let wide_weights = WeightMatrix::from_fn(256, 128, |r, c| (r * 5 + c) as i64 - 300);
+    assert_steady_gemms_allocation_free(
+        "256x16 private, N = 128",
+        &mut private,
+        &narrow_inputs,
+        &wide_weights,
+    );
     let shared = Arc::new(SharedPlanCache::with_shards(
         256,
         4,
