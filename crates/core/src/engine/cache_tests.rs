@@ -59,8 +59,8 @@ fn hash_collisions_cannot_alias_plans() {
     let t2 = tile_of(&[&[0, 1], &[1, 0]]);
     let (k1, k2) = (key_of(&t1), key_of(&t2));
     let kz = key_of(&SpikeMatrix::zeros(2, 2));
-    let m1 = Arc::new(TileMeta::build(&t1, 0, 0));
-    let m2 = Arc::new(TileMeta::build(&t2, 0, 0));
+    let m1 = Arc::new(TileMeta::build(&t1));
+    let m2 = Arc::new(TileMeta::build(&t2));
     let mut cache = PlanCache::new(8);
     cache.insert(42, &k1, Arc::clone(&m1));
     cache.insert(42, &k2, Arc::clone(&m2)); // same hash, different bits

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crate::exec::{execute_row_tiles, TileExec};
+use crate::exec::execute_row_tiles;
 use crate::plan::{build_tile_meta, PlanScratch, TileMeta};
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::SpikeMatrix;
@@ -14,22 +14,6 @@ use super::snapshot::{ImportReport, PlanSnapshot};
 use super::stats::EngineStats;
 use super::{Element, EngineConfig};
 use std::sync::Mutex;
-
-/// A cached plan placed at a concrete grid position.
-#[derive(Debug, Clone)]
-struct PlacedTile {
-    meta: Arc<TileMeta>,
-    col_start: usize,
-}
-
-impl TileExec for PlacedTile {
-    fn meta(&self) -> &TileMeta {
-        &self.meta
-    }
-    fn col_start(&self) -> usize {
-        self.col_start
-    }
-}
 
 /// What one [`Session::gemm_slice`] visit accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,16 +29,21 @@ pub struct SliceRun {
 /// Resumable position inside one planned GeMM: [`Session::gemm_slice`]
 /// plans on its first visit and then walks `next_row_tile` through
 /// `row_tiles` across visits, so a scheduler can preempt the session
-/// between row-tiles. The placed tiles, executor arena, and spike-chain
-/// buffers all live on the session, so nothing is re-derived on resume.
+/// between row-tiles. The plans, executor arena, and spike-chain buffers
+/// all live on the session, so nothing is re-derived on resume.
 #[derive(Debug, Default)]
 struct StepCursor {
     /// Next unexecuted row-tile of the in-flight GeMM.
     next_row_tile: usize,
     /// Total row-tiles the in-flight GeMM planned.
     row_tiles: usize,
+}
+
+impl StepCursor {
     /// Whether a sliced GeMM is in flight (planned but not fully executed).
-    active: bool,
+    fn active(&self) -> bool {
+        self.next_row_tile < self.row_tiles
+    }
 }
 
 /// A reusable end-to-end execution session: plan cache, planner scratch, and
@@ -95,8 +84,9 @@ pub struct Session<T = i64> {
     /// Scratch flat key (the tile's row-major limbs) every lookup hashes
     /// and verifies, and every miss is planned from.
     key_buf: Vec<u64>,
-    /// The current GeMM's placed tiles, row-major; reused across calls.
-    tiles: Vec<PlacedTile>,
+    /// The current GeMM's plans, row-major (`k`-tile `j` of a row group
+    /// starts at weight row `j · tile.k`); reused across calls.
+    tiles: Vec<Arc<TileMeta>>,
     /// k-tiles per row group of the current GeMM.
     gk: usize,
     /// Sliced-execution position within the current GeMM.
@@ -271,8 +261,8 @@ impl<T: Element> Session<T> {
         self.cache.as_ref().map_or(0, |c| c.len())
     }
 
-    /// Plans one spike matrix through the tile cache, leaving the placed
-    /// tiles in `self.tiles` (row-major).
+    /// Plans one spike matrix through the tile cache, leaving the plans in
+    /// `self.tiles` (row-major).
     fn plan(&mut self, spikes: &SpikeMatrix) {
         let shape = self.config.tile;
         let (gm, gk) = shape.grid(spikes.rows(), spikes.cols());
@@ -280,10 +270,9 @@ impl<T: Element> Session<T> {
         self.tiles.clear();
         for ti in 0..gm {
             for tj in 0..gk {
-                let col_start = tj * shape.k;
                 self.stats.tiles += 1;
-                let meta = self.plan_tile(spikes, ti * shape.m, col_start);
-                self.tiles.push(PlacedTile { meta, col_start });
+                let meta = self.plan_tile(spikes, ti * shape.m, tj * shape.k);
+                self.tiles.push(meta);
             }
         }
     }
@@ -357,7 +346,7 @@ impl<T: Element> Session<T> {
         out: &mut OutputMatrix<T>,
     ) {
         debug_assert!(
-            !self.cursor.active,
+            !self.cursor.active(),
             "gemm_into while a sliced GeMM is in flight"
         );
         self.gemm_slice(spikes, weights, out, 0);
@@ -409,7 +398,7 @@ impl<T: Element> Session<T> {
     /// executed). While true, the only valid operations are further
     /// `gemm_slice` visits for the same GeMM or [`Session::reset_slice`].
     pub fn slice_in_flight(&self) -> bool {
-        self.cursor.active
+        self.cursor.active()
     }
 
     /// Abandons an in-flight sliced GeMM (its partial output is left as-is
@@ -431,12 +420,11 @@ impl<T: Element> Session<T> {
         weights: &WeightMatrix<T>,
         out: &mut OutputMatrix<T>,
     ) {
-        if !self.cursor.active {
+        if !self.cursor.active() {
             self.gemm_prepare(spikes, weights, out);
             self.cursor = StepCursor {
                 next_row_tile: 0,
                 row_tiles: self.planned_row_tiles(),
-                active: true,
             };
         } else {
             debug_assert_eq!(
@@ -460,18 +448,14 @@ impl<T: Element> Session<T> {
         (start, count)
     }
 
-    /// Advances the cursor past an executed slice, disarming it on the
-    /// GeMM's last row-tile.
+    /// Advances the cursor past an executed slice; past the GeMM's last
+    /// row-tile no slice is in flight.
     // analyze: hot-path
     fn slice_advance(&mut self, count: usize) -> SliceRun {
         self.cursor.next_row_tile += count;
-        let done = self.cursor.next_row_tile >= self.cursor.row_tiles;
-        if done {
-            self.cursor.active = false;
-        }
         SliceRun {
             row_tiles: count,
-            done,
+            done: !self.cursor.active(),
         }
     }
 
@@ -490,7 +474,7 @@ impl<T: Element> Session<T> {
             weights.rows()
         );
         debug_assert!(
-            !self.cursor.active,
+            !self.cursor.active(),
             "planning a new GeMM while a sliced GeMM is in flight \
              (finish the gemm_slice sequence or call reset_slice first)"
         );

@@ -50,6 +50,40 @@ fn slices_time_planning_once_and_execution_per_slice() {
     assert_eq!(out, spiking_gemm(&s, &w));
 }
 
+/// A whole-GeMM plan is, tile for tile, the plans a session caches and
+/// replays, on ragged shapes too: edge and non-origin tiles carry no
+/// placement or valid region.
+#[test]
+fn grid_plans_equal_cached_plans() {
+    use crate::plan::ProSparsityPlan;
+    let mut rng = StdRng::seed_from_u64(30);
+    let cases = [
+        (50, 40, TileShape::new(16, 16)),
+        (37, 70, TileShape::new(8, 64)),
+        (9, 5, TileShape::new(4, 3)),
+        (300, 20, TileShape::new(256, 16)),
+    ];
+    for (m, k, shape) in cases {
+        let s = SpikeMatrix::random(m, k, 0.3, &mut rng);
+        let w = WeightMatrix::from_fn(k, 3, |_, _| rng.gen_range(-9i64..9));
+        let mut session = Session::new(EngineConfig::new(shape, 1024));
+        session.gemm(&s, &w);
+        let cached = session.export_snapshot(1024);
+        let plan = ProSparsityPlan::build_tiled(&s, shape);
+        let (gm, gk) = shape.grid(m, k);
+        assert_eq!(plan.tiles().len(), gm * gk);
+        let mut key = Vec::new();
+        for (t, meta) in plan.tiles().iter().enumerate() {
+            let what = format!("{m}×{k} in {}×{} tiles, tile {t}", shape.m, shape.k);
+            let (row, col) = (t / gk * shape.m, t % gk * shape.k);
+            s.tile_key_into(row, col, shape.m, shape.k, &mut key);
+            let entry = cached.entries.iter().find(|e| *e.limbs == key[..]);
+            assert_eq!(entry.map(|e| &*e.meta), Some(meta), "{what}");
+            assert_eq!(&*session.tiles[t], meta, "{what}");
+        }
+    }
+}
+
 #[test]
 fn repeated_matrix_hits_cache_and_stays_lossless() {
     let mut rng = StdRng::seed_from_u64(13);

@@ -20,8 +20,8 @@ fn shared_cache_dedupes_racing_inserts() {
     let shared = SharedPlanCache::with_shards(64, 4, None);
     let t = tile_of(&[&[1, 0, 1], &[1, 1, 0]]);
     let (h, k) = keyed(&t);
-    let m1 = Arc::new(TileMeta::build(&t, 0, 0));
-    let m2 = Arc::new(TileMeta::build(&t, 0, 0));
+    let m1 = Arc::new(TileMeta::build(&t));
+    let m2 = Arc::new(TileMeta::build(&t));
     let (kept1, o1) = shared.insert(h, &k, Arc::clone(&m1), None);
     assert_eq!(o1, InsertOutcome::Inserted);
     assert!(Arc::ptr_eq(&kept1, &m1));
@@ -53,7 +53,7 @@ fn cache_bypasses_insertions_once_closed() {
         let t = tile_of(&[&[1, i & 1, (i >> 1) & 1, (i >> 2) & 1]]);
         let (h, k) = keyed(&t);
         assert!(cache.lookup(h, &k, admission).is_none());
-        let meta = Arc::new(TileMeta::build(&t, 0, 0));
+        let meta = Arc::new(TileMeta::build(&t));
         outcomes.push(cache.insert(h, &k, meta, admission).1);
     }
     // The window rolls during the lookup that completes it, so the
@@ -77,7 +77,7 @@ fn shared_cache_spreads_and_clears() {
         let t = SpikeMatrix::random(shape.m, shape.k, 0.5, &mut rng);
         let (h, k) = keyed(&t);
         if shared.lookup(h, &k, None).is_none() {
-            let (_, o) = shared.insert(h, &k, Arc::new(TileMeta::build(&t, 0, 0)), None);
+            let (_, o) = shared.insert(h, &k, Arc::new(TileMeta::build(&t)), None);
             if o != InsertOutcome::Bypassed {
                 resident += 1;
             }
@@ -112,7 +112,7 @@ fn admission_is_tracked_per_tenant_not_per_shard() {
     let mut rng = StdRng::seed_from_u64(0x7E2A);
     let hot_tile = SpikeMatrix::random(4, 16, 0.4, &mut rng);
     let (hot_hash, hot_key) = keyed(&hot_tile);
-    let plan = |t: &SpikeMatrix| Arc::new(TileMeta::build(t, 0, 0));
+    let plan = |t: &SpikeMatrix| Arc::new(TileMeta::build(t));
     shared.insert(hot_hash, &hot_key, plan(&hot_tile), hot_adm.as_deref());
     let mut cold_bypassed = 0u64;
     let mut hot_inserted = 0u64;
@@ -162,7 +162,7 @@ fn sharded_export_interleaves_recency_and_respects_n() {
         let t = SpikeMatrix::random(8, 16, 0.5, &mut rng);
         let (h, k) = keyed(&t);
         if shared.lookup(h, &k, None).is_none() {
-            shared.insert(h, &k, Arc::new(TileMeta::build(&t, 0, 0)), None);
+            shared.insert(h, &k, Arc::new(TileMeta::build(&t)), None);
         }
     }
     let tile = TileShape::new(8, 16);

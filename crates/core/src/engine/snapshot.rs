@@ -37,6 +37,13 @@
 //!   Dispatcher order: row count × u32
 //! ```
 //!
+//! A plan holds no placement, valid region or sorter stage count, so the
+//! encoder writes `row_start`, `col_start`, `valid_rows`, `valid_cols` and
+//! `sorter_stages` as the constants every cached plan carries: `0`, `0`,
+//! the row count, the bit length and `BitonicSorter::model(rows).stages()`.
+//! Decode checks that the valid region fits the tile and reads none of the
+//! five back.
+//!
 //! The checksum (FNV-1a over the payload) is verified before any payload
 //! field is trusted; the per-entry hash is additionally re-derived from
 //! the key limbs on decode, so a flipped bit in either is caught twice.
@@ -74,6 +81,7 @@
 //! assert_eq!(warm.stats().restored_hits, warm.stats().cache_hits);
 //! ```
 
+use crate::order::BitonicSorter;
 use crate::plan::{derived_kind, OrderBufs, TileMeta, NO_PREFIX};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::cell::Cell;
@@ -356,12 +364,15 @@ fn encode_entry(buf: &mut BytesMut, entry: &SnapshotEntry) {
         buf.put_u64_le(limb);
     }
     let meta = &entry.meta;
-    buf.put_u64_le(meta.row_start as u64);
-    buf.put_u64_le(meta.col_start as u64);
-    buf.put_u32_le(meta.valid_rows as u32);
-    buf.put_u32_le(meta.valid_cols as u32);
-    buf.put_u32_le(meta.sorter_stages as u32);
-    buf.put_u32_le(meta.prefix.len() as u32);
+    let rows = meta.prefix.len();
+    // Placement, valid region and sorter stages: the constants every
+    // cached plan carries (module docs).
+    buf.put_u64_le(0);
+    buf.put_u64_le(0);
+    buf.put_u32_le(rows as u32);
+    buf.put_u32_le(meta.width as u32);
+    buf.put_u32_le(BitonicSorter::model(rows).stages() as u32);
+    buf.put_u32_le(rows as u32);
     buf.put_u32_le(meta.width as u32);
     let words = meta.pattern_words();
     for (i, &prefix) in meta.prefix.iter().enumerate() {
@@ -393,11 +404,12 @@ fn decode_entry(buf: &mut Bytes) -> Result<SnapshotEntry, SnapshotError> {
         return Err(SnapshotError::Corrupt("entry hash"));
     }
     need(buf, 8 + 8 + 4 + 4 + 4 + 4 + 4)?;
-    let row_start = buf.get_u64_le() as usize;
-    let col_start = buf.get_u64_le() as usize;
+    // Placement and sorter stages are not read back; the valid region is
+    // only checked (module docs).
+    let _placement = (buf.get_u64_le(), buf.get_u64_le());
     let valid_rows = buf.get_u32_le() as usize;
     let valid_cols = buf.get_u32_le() as usize;
-    let sorter_stages = buf.get_u32_le() as usize;
+    let _sorter_stages = buf.get_u32_le();
     let row_count = buf.get_u32_le() as usize;
     let pattern_bits = buf.get_u32_le() as usize;
     let pattern_words = pattern_bits.div_ceil(64);
@@ -461,15 +473,10 @@ fn decode_entry(buf: &mut Bytes) -> Result<SnapshotEntry, SnapshotError> {
         }
     }
     let mut meta = TileMeta {
-        row_start,
-        col_start,
-        valid_rows,
-        valid_cols,
         width: pattern_bits,
         prefix: prefixes,
         pattern_limbs,
         exec_order: order,
-        sorter_stages,
     };
     // The file stores the Dispatcher's order, which the plan derives: a
     // topological order that is not the stable popcount sort, or a zero
@@ -528,7 +535,7 @@ mod tests {
         let entry = SnapshotEntry {
             hash: hash_limbs(&limbs),
             limbs: limbs.into(),
-            meta: Arc::new(TileMeta::build(tile, 512, 32)),
+            meta: Arc::new(TileMeta::build(tile)),
             hits: 7,
         };
         PlanSnapshot {
@@ -549,30 +556,57 @@ mod tests {
         hash_limbs(&words)
     }
 
-    /// Decodes `clean` after `mutate` with the checksum re-forged, the way
-    /// a writer that lies about a field would.
-    fn reforged(
-        clean: &[u8],
-        mutate: impl Fn(&mut Vec<u8>),
-    ) -> Result<PlanSnapshot, SnapshotError> {
+    /// `clean` after `mutate` with the checksum re-forged, the way a
+    /// writer that lies about a field would write it.
+    fn forged(clean: &[u8], mutate: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
         let mut bytes = clean.to_vec();
         mutate(&mut bytes);
         let sum = fnv1a(&bytes[HEADER_BYTES..]);
         bytes[12..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
-        PlanSnapshot::decode(Bytes::from(bytes))
+        bytes
+    }
+
+    /// Decodes [`forged`] bytes.
+    fn reforged(
+        clean: &[u8],
+        mutate: impl Fn(&mut Vec<u8>),
+    ) -> Result<PlanSnapshot, SnapshotError> {
+        PlanSnapshot::decode(Bytes::from(forged(clean, mutate)))
     }
 
     #[test]
     fn seeded_plan_encodes_to_the_pinned_bytes() {
         // The digest pins the on-disk format: a change to the in-memory
         // plan layout must still write exactly these bytes.
-        const DIGEST: u64 = 0x9f68_b540_c8be_250c;
+        const DIGEST: u64 = 0x4e60_e39d_697e_9f40;
         let snap = seeded_plan_snapshot();
-        let stats = snap.entries[0].meta.stats(0);
+        let meta = &snap.entries[0].meta;
+        let stats = meta.stats(meta.prefix.len(), meta.width, 0);
         assert!(stats.em_rows > 0 && stats.pm_rows > 0 && stats.root_rows > 0);
         let bytes = snap.encode();
         assert_eq!(digest(&bytes), DIGEST);
         let decoded = PlanSnapshot::decode(bytes).expect("roundtrip");
+        assert!(entry_eq(&snap.entries[0], &decoded.entries[0]));
+    }
+
+    #[test]
+    fn placed_plan_bytes_still_load() {
+        // Files written while plans carried their placement hold the
+        // seeded plan, built at row 512, column 32, as bytes of this
+        // digest. Writing those two values into the placement fields of
+        // today's encoding must give exactly those bytes, and they must
+        // still decode to the same plan.
+        const PLACED_DIGEST: u64 = 0x9f68_b540_c8be_250c;
+        let snap = seeded_plan_snapshot();
+        let clean = snap.encode().to_vec();
+        // Header, then hash | hits | key limb count | key limbs.
+        let row_start_at = HEADER_BYTES + 20 + snap.entries[0].limbs.len() * 8;
+        let placed = forged(&clean, |b| {
+            b[row_start_at..row_start_at + 8].copy_from_slice(&512u64.to_le_bytes());
+            b[row_start_at + 8..row_start_at + 16].copy_from_slice(&32u64.to_le_bytes());
+        });
+        assert_eq!(digest(&placed), PLACED_DIGEST);
+        let decoded = PlanSnapshot::decode(Bytes::from(placed)).expect("placed bytes decode");
         assert!(entry_eq(&snap.entries[0], &decoded.entries[0]));
     }
 

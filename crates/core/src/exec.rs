@@ -8,6 +8,12 @@
 //! bit-scan-forward), and finally adds its tile-local result into the global
 //! output row (Step 12, the cross-`k`-tile partial-sum accumulation).
 //!
+//! A row group's `k`-tiles arrive as a slice of plans in grid order: a
+//! [`ProSparsityPlan`]'s own [`TileMeta`]s, or the `Arc<TileMeta>`s a
+//! session takes from its plan cache (the kernel accepts anything that
+//! borrows as a [`TileMeta`]). Plans carry no placement: `k`-tile `j`
+//! addresses weight rows from `j · width` on.
+//!
 //! # Performance
 //!
 //! The kernel is built so that consecutive rows do the same work, which
@@ -45,6 +51,7 @@
 use crate::plan::{ProSparsityPlan, TileMeta};
 use spikemat::gemm::{OutputMatrix, WeightMatrix};
 use spikemat::{SpikeMatrix, TileShape};
+use std::borrow::Borrow;
 use std::ops::AddAssign;
 
 /// Executes a spiking GeMM under product sparsity with tile shape `shape`.
@@ -159,31 +166,6 @@ fn col_tile_count(plan: &ProSparsityPlan) -> usize {
     }
 }
 
-/// A planned tile the executor can replay: its meta information plus its
-/// placement in the source matrix.
-///
-/// [`TileMeta`] carries its own placement; the serving runtime instead
-/// replays *cached*, position-independent metas under per-instance
-/// placements — possibly borrowed (via `Arc`) from a plan cache shared
-/// with other sessions — so the executor core is generic over this view
-/// rather than over one concrete meta lifetime.
-pub trait TileExec {
-    /// The planned meta information (prefixes, packed patterns, replay
-    /// order).
-    fn meta(&self) -> &TileMeta;
-    /// First weight row this tile's patterns address.
-    fn col_start(&self) -> usize;
-}
-
-impl TileExec for TileMeta {
-    fn meta(&self) -> &TileMeta {
-        self
-    }
-    fn col_start(&self) -> usize {
-        self.col_start
-    }
-}
-
 /// Executes the `k`-tiles of one row group into its output chunk.
 ///
 /// `out_chunk` holds the group's `valid_rows × n` output elements; the
@@ -196,7 +178,7 @@ impl TileExec for TileMeta {
 /// on a 2-vCPU x86-64 host.
 // analyze: hot-path
 #[inline(never)]
-pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
+pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: Borrow<TileMeta>>(
     k_tiles: &[V],
     weights: &WeightMatrix<T>,
     out_chunk: &mut [T],
@@ -223,7 +205,7 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: TileExec>(
 /// and added into the output row (Step 12).
 // analyze: hot-path
 #[inline(always)]
-fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
+fn replay_row_tile<T: Copy + Default + AddAssign, V: Borrow<TileMeta>, const N: usize>(
     k_tiles: &[V],
     wdata: &[T],
     out_chunk: &mut [T],
@@ -233,7 +215,7 @@ fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
     let n = if N == 0 { n } else { N };
     let tile_rows = k_tiles
         .iter()
-        .map(|t| t.meta().prefix.len())
+        .map(|t| t.borrow().prefix.len())
         .max()
         .unwrap_or(0);
     let zero_row = tile_rows * STRIP;
@@ -243,9 +225,9 @@ fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
     if let Some(zeros) = arena.get_mut(zero_row..zero_row + STRIP) {
         zeros.fill(T::default());
     }
-    for tile in k_tiles {
-        let meta = tile.meta();
-        let col_start = tile.col_start();
+    for (j, tile) in k_tiles.iter().enumerate() {
+        let meta: &TileMeta = tile.borrow();
+        let col_start = j * meta.width;
         let wpr = meta.pattern_words();
         // All-zero rows (padding included) lead the replay order: depth 0,
         // no pattern bits. They add nothing and are never prefixes, so the
@@ -321,14 +303,14 @@ fn replay_row_tile<T: Copy + Default + AddAssign, V: TileExec, const N: usize>(
 }
 
 /// Executes a contiguous range of row groups `[start, start + count)` of a
-/// placed-tile grid serially, each into its `tile_m × n` output chunk.
+/// row-major tile grid serially, each into its `tile_m × n` output chunk.
 ///
 /// This is the session's executor: a slice (`gemm_slice`) is a sub-range of
 /// row groups and a whole GeMM is `[0, gm)`, so executing it in one call or
 /// as several disjoint ranges produces bit-identical output — row groups
 /// never share output elements or carry state across each other.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_row_tiles<T: Copy + Default + AddAssign, V: TileExec>(
+pub(crate) fn execute_row_tiles<T: Copy + Default + AddAssign, V: Borrow<TileMeta>>(
     tiles: &[V],
     gk: usize,
     weights: &WeightMatrix<T>,

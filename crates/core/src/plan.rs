@@ -53,14 +53,16 @@
 //!   prefix's, since a prefix is a subset of its row. The Dispatcher's
 //!   order itself is a derived view, [`TileMeta::dispatch_order`].
 //!
-//! The Dispatcher's bitonic network statistics are data-independent, so the
-//! builder takes them from [`BitonicSorter::model`]. Independent tiles are
-//! planned across threads, each worker writing tile keys into its
+//! A [`TileMeta`] is only the plan, so equal tiles have equal plans
+//! wherever they sit. Placement is the grid's: a plan's tiles are
+//! row-major, and `k`-tile `j` of a row group starts at weight row
+//! `j · width`. The valid (non-padding) region is known where the tile is
+//! cut, and [`TileMeta::stats`] takes it as arguments. Independent tiles
+//! are planned across threads, each worker writing tile keys into its
 //! [`PlanScratch`]. The staged `detect_tile`/`prune_tile` functions remain
 //! the property-test oracle for this fused path.
 
 use crate::forest::ProSparsityForest;
-use crate::order::BitonicSorter;
 use crate::prune::{MatchKind, PrunedRow};
 use crate::stats::ProStats;
 use spikemat::{BitRow, SpikeMatrix, TileShape};
@@ -81,14 +83,6 @@ pub type RowMeta = PrunedRow;
 /// zero-row, zero-column tile.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TileMeta {
-    /// First source row covered by the tile.
-    pub row_start: usize,
-    /// First source column covered by the tile.
-    pub col_start: usize,
-    /// Valid (non-padding) rows in the tile.
-    pub valid_rows: usize,
-    /// Valid (non-padding) columns in the tile.
-    pub valid_cols: usize,
     /// Padded tile column count: the bit length of every pattern.
     pub width: usize,
     /// Per tile-local row, its prefix row within the tile, or
@@ -101,37 +95,15 @@ pub struct TileMeta {
     /// order, the Dispatcher's order re-sorted stably by (forest depth,
     /// pattern popcount) (module docs).
     pub exec_order: Vec<u32>,
-    /// Latency of the bitonic sorting network that produced the
-    /// Dispatcher's order, in comparator stages.
-    pub sorter_stages: usize,
 }
 
 impl TileMeta {
-    /// Builds meta information for one padded tile.
-    pub fn build(tile: &SpikeMatrix, row_start: usize, col_start: usize) -> Self {
-        Self::build_with(tile, row_start, col_start, &mut PlanScratch::default()).0
-    }
-
-    /// [`TileMeta::build`] with caller-owned scratch buffers: returns the
-    /// meta plus the tile's spike-bit count. The tile's row limbs are
-    /// concatenated into the scratch key buffer and planned from there, as
-    /// the execution engine plans a miss from its cache key. Repeated
-    /// planning through one [`PlanScratch`] reuses the key, transpose and
-    /// mask buffers, allocating only for the meta it emits.
-    pub fn build_with(
-        tile: &SpikeMatrix,
-        row_start: usize,
-        col_start: usize,
-        scratch: &mut PlanScratch,
-    ) -> (Self, u64) {
-        let mut key = std::mem::take(&mut scratch.key);
-        key.clear();
-        key.extend(tile.row_slice().iter().flat_map(BitRow::limbs));
-        let (mut meta, spike_bits) = build_tile_meta(&key, tile.rows(), tile.cols(), scratch);
-        scratch.key = key;
-        meta.row_start = row_start;
-        meta.col_start = col_start;
-        (meta, spike_bits)
+    /// Builds meta information for one padded tile, planned from its key
+    /// as the execution engine plans a miss.
+    pub fn build(tile: &SpikeMatrix) -> Self {
+        let mut key = Vec::new();
+        tile.tile_key_into(0, 0, tile.rows(), tile.cols(), &mut key);
+        build_tile_meta(&key, tile.rows(), tile.cols(), &mut PlanScratch::default()).0
     }
 
     /// Limbs per row in [`TileMeta::pattern_limbs`].
@@ -243,17 +215,19 @@ impl TileMeta {
         ProSparsityForest::from_pruned(&self.rows().collect::<Vec<_>>())
     }
 
-    /// Statistics for this tile, counting only valid (non-padding) cells.
-    pub fn stats(&self, spike_bits: u64) -> ProStats {
+    /// Statistics for this tile, counting only the valid (non-padding)
+    /// `valid_rows × valid_cols` region, which the caller knows from where
+    /// it cut the tile.
+    pub fn stats(&self, valid_rows: usize, valid_cols: usize, spike_bits: u64) -> ProStats {
         let mut s = ProStats {
-            dense_ops: (self.valid_rows * self.valid_cols) as u64,
+            dense_ops: (valid_rows * valid_cols) as u64,
             bit_ops: spike_bits,
-            rows: self.valid_rows as u64,
+            rows: valid_rows as u64,
             ..ProStats::default()
         };
         // Padding rows are all-zero with no prefix: excluded from row
         // counts, and they add no ops.
-        for i in 0..self.valid_rows {
+        for i in 0..valid_rows {
             s.pro_ops += self.ops(i) as u64;
             match self.kind(i) {
                 MatchKind::None => s.root_rows += 1,
@@ -277,10 +251,10 @@ pub(crate) fn derived_kind(prefix: u32, pattern: &[u64]) -> MatchKind {
 /// Reusable buffers for the fused tile planner; one per worker thread, so a
 /// steady-state planning sweep allocates only for the plan it emits.
 ///
-/// Thread one instance through [`ProSparsityPlan::build_tiled_with`] or
-/// [`TileMeta::build_with`] to keep repeated planning (e.g. across the
-/// timesteps of a model trace) free of transient allocation; each engine
-/// `Session` owns one for exactly this purpose. Buffers are sized by the
+/// Thread one instance through [`ProSparsityPlan::build_tiled_with`] to
+/// keep repeated planning (e.g. across the timesteps of a model trace) free
+/// of transient allocation; each engine `Session` owns one for exactly this
+/// purpose. Buffers are sized by the
 /// tile, not by the row stride the planner runs with, so tiles of any
 /// width share one instance.
 #[derive(Debug, Default)]
@@ -427,9 +401,8 @@ fn replay_order(prefix: &[u32], op_keys: usize, bufs: &mut OrderBufs) -> Vec<u32
 /// row-major limbs, `⌈k/64⌉` per row with no bits past column `k`: the
 /// plan-cache key that [`SpikeMatrix::tile_key_into`] writes.
 ///
-/// Returns the meta of a tile placed at (0, 0) plus the tile's spike-bit
-/// count (reused for stats). Runs [`plan_tile`] with the row stride the
-/// module docs give for `k`.
+/// Returns the tile's meta plus its spike-bit count (reused for stats).
+/// Runs [`plan_tile`] with the row stride the module docs give for `k`.
 // analyze: hot-path
 pub(crate) fn build_tile_meta(
     limbs: &[u64],
@@ -481,7 +454,6 @@ fn plan_tile<const W: usize>(
         .iter()
         .map(|&i| i as usize)
         .eq(crate::order::sorted_order(popcounts)));
-    let sorter = BitonicSorter::model(m);
 
     // Zero rows lead the Dispatcher's order and are never prefixes.
     let zero_rows = popcounts.iter().filter(|&&p| p == 0).count();
@@ -506,16 +478,11 @@ fn plan_tile<const W: usize>(
     }
     (
         TileMeta {
-            row_start: 0,
-            col_start: 0,
-            valid_rows: m,
-            valid_cols: k,
             width: k,
             // No row has a bit past column `k`.
             exec_order: replay_order(&prefix, k + 1, orders),
             prefix,
             pattern_limbs,
-            sorter_stages: sorter.stages(),
         },
         spike_bits,
     )
@@ -820,15 +787,13 @@ fn build_tile_range(
         let col_start = tj * shape.k;
         let mut key = std::mem::take(&mut scratch.key);
         spikes.tile_key_into(row_start, col_start, shape.m, shape.k, &mut key);
-        let (mut meta, spike_bits) = build_tile_meta(&key, shape.m, shape.k, scratch);
+        let (meta, spike_bits) = build_tile_meta(&key, shape.m, shape.k, scratch);
         scratch.key = key;
-        meta.row_start = row_start;
-        meta.col_start = col_start;
         // Padding rows/cols are all-zero, so the whole-tile spike count above
         // already equals the valid-region count.
-        meta.valid_rows = (spikes.rows() - row_start).min(shape.m);
-        meta.valid_cols = (spikes.cols() - col_start).min(shape.k);
-        stats += meta.stats(spike_bits);
+        let valid_rows = (spikes.rows() - row_start).min(shape.m);
+        let valid_cols = (spikes.cols() - col_start).min(shape.k);
+        stats += meta.stats(valid_rows, valid_cols, spike_bits);
         tiles.push(meta);
     }
     (tiles, stats)
@@ -948,7 +913,7 @@ mod tests {
             } else {
                 duplicate_heavy_tile(m, k, &mut rng)
             };
-            let meta = TileMeta::build(&tile, 0, 0);
+            let meta = TileMeta::build(&tile);
             let pruned = prune_tile(&tile, &detect_tile(&tile));
             assert_eq!(meta.rows().collect::<Vec<_>>(), pruned, "trial {trial}");
             assert_orders(&tile, &meta, &format!("trial {trial}"));
@@ -981,7 +946,7 @@ mod tests {
                     let what = format!("{m}×{k} {input}");
                     tile.tile_key_into(0, 0, m, k, &mut key);
                     let (meta, spike_bits) = build_tile_meta(&key, m, k, &mut scratch);
-                    assert_eq!(meta, TileMeta::build(&tile, 0, 0), "{what}");
+                    assert_eq!(meta, TileMeta::build(&tile), "{what}");
                     assert_eq!(spike_bits, tile.total_spikes() as u64, "{what}");
                     let pruned = prune_tile(&tile, &detect_tile(&tile));
                     assert_eq!(meta.rows().collect::<Vec<_>>(), pruned, "{what}");
@@ -1064,7 +1029,7 @@ mod tests {
         // depth bucket per row, and the replay order is the chain itself.
         let row: &[u8] = &[1, 0, 1, 1, 0, 0, 1, 0, 1];
         let tile = SpikeMatrix::from_rows_of_bits(&[row; 300]);
-        let meta = TileMeta::build(&tile, 0, 0);
+        let meta = TileMeta::build(&tile);
         assert_eq!(meta.forest().max_depth(), 299);
         assert_eq!(meta.exec_order, (0..300).collect::<Vec<u32>>());
         assert_orders(&tile, &meta, "chain");
@@ -1197,7 +1162,7 @@ mod tests {
 
     #[test]
     fn empty_meta_matches_built_empty_tile() {
-        let built = TileMeta::build(&SpikeMatrix::zeros(0, 0), 0, 0);
+        let built = TileMeta::build(&SpikeMatrix::zeros(0, 0));
         assert_eq!(TileMeta::default(), built);
         assert_eq!(built.pattern_words(), 0);
     }

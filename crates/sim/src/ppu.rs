@@ -63,13 +63,8 @@ pub fn simulate_layer(spikes: &SpikeMatrix, n_cols: usize, config: &ProsperityCo
                 (compute_phase_cycles(pcs.iter().copied()), pcs, s, 0, 0)
             }
             SimMode::ProSparsitySlowDispatch | SimMode::Full => {
-                let meta = {
-                    let mut meta = TileMeta::build(&tile.data, tile.row_start, tile.col_start);
-                    meta.valid_rows = valid;
-                    meta.valid_cols = tile.valid_cols;
-                    meta
-                };
-                let s = meta.stats(spike_bits);
+                let meta = TileMeta::build(&tile.data);
+                let s = meta.stats(valid, tile.valid_cols, spike_bits);
                 // Per-row issue cost: an Exact Match row spends its one
                 // issue/writeback slot; a Partial Match row first loads
                 // the prefix partial sum from the output buffer (Step 9)
@@ -166,22 +161,6 @@ pub fn simulate_layer(spikes: &SpikeMatrix, n_cols: usize, config: &ProsperityCo
         events,
         stats,
     }
-}
-
-/// Convenience: count of rows with each match kind in a tile meta (used by
-/// diagnostics and tests).
-pub fn match_kind_counts(meta: &TileMeta) -> (usize, usize, usize) {
-    let mut none = 0;
-    let mut pm = 0;
-    let mut em = 0;
-    for r in 0..meta.valid_rows {
-        match meta.kind(r) {
-            MatchKind::None => none += 1,
-            MatchKind::Partial => pm += 1,
-            MatchKind::Exact => em += 1,
-        }
-    }
-    (none, pm, em)
 }
 
 #[cfg(test)]

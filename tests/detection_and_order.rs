@@ -122,7 +122,7 @@ fn fused_tile_meta_matches_staged_pipeline() {
             let (m, k) = (rng.gen_range(1..=300), rng.gen_range(1..=140));
             duplicate_heavy_tile(&mut rng, m, k)
         };
-        let meta = TileMeta::build(&tile, 0, 0);
+        let meta = TileMeta::build(&tile);
         let pruned = prune_tile(&tile, &detect_tile(&tile));
         assert_eq!(meta.prefix.len(), pruned.len(), "trial {trial}");
         for (i, (got, want)) in meta.rows().zip(&pruned).enumerate() {
@@ -169,7 +169,7 @@ fn tile_meta_consistency() {
     let mut rng = StdRng::seed_from_u64(8);
     for _ in 0..64 {
         let tile = random_tile(&mut rng, 32, 16);
-        let meta = TileMeta::build(&tile, 0, 0);
+        let meta = TileMeta::build(&tile);
         // The replay order is a permutation, and the derived Dispatcher
         // order is the stable popcount sort.
         let mut seen = vec![false; tile.rows()];
@@ -182,7 +182,7 @@ fn tile_meta_consistency() {
         let order: Vec<usize> = meta.dispatch_order().iter().map(|&r| r as usize).collect();
         assert_eq!(order, sorted_order(&popcounts));
         // Stats bit ops equal actual spikes.
-        let s = meta.stats(tile.total_spikes() as u64);
+        let s = meta.stats(tile.rows(), tile.cols(), tile.total_spikes() as u64);
         assert_eq!(s.rows as usize, tile.rows());
         assert!(s.pro_ops <= s.bit_ops);
     }
