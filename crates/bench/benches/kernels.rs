@@ -304,6 +304,27 @@ fn main() {
             tile: TileShape::new(128, 128),
             reps: 6,
         },
+        // The serving shapes: `stream_warm`/`stream_fresh`'s narrow GeMM and
+        // `tenant_mix`'s wide one, on the paper's tile, so both time the
+        // one-limb executor body at the constant widths 16 and 128.
+        Scenario {
+            name: "serving_narrow_512x256x16",
+            m: 512,
+            k: 256,
+            n: 16,
+            density: 0.30,
+            tile: TileShape::prosperity_default(),
+            reps: 10,
+        },
+        Scenario {
+            name: "serving_wide_512x768x128",
+            m: 512,
+            k: 768,
+            n: 128,
+            density: 0.15,
+            tile: TileShape::prosperity_default(),
+            reps: 10,
+        },
     ];
 
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -28,6 +28,17 @@
 //!   loop specialized to a constant width, so the strip count and the
 //!   weight-row stride are constants. Every other width runs the same loop
 //!   with a runtime width.
+//! * Each `k`-tile's replay is dispatched on its pattern limb count exactly
+//!   as the planner dispatches `plan_tile`: tiles of at most 64 columns
+//!   (the paper's 256×16 tile among them) run a body with one constant
+//!   limb per row, so a row's bit scan is one `u64` with no limb loop;
+//!   wider tiles run the same body with a runtime limb count.
+//! * The strip body is generic over the strip width: every full strip
+//!   runs it at the constant width 16, so each weight-row and output strip
+//!   access has a constant length, and the narrower tail strip (`n % 16`
+//!   columns) runs it at a runtime width. The arena is viewed as
+//!   `[T; 16]` strips, so a row's accumulator is seeded and its partial
+//!   stored by whole-array copies.
 //! * Tile-local partials live in one flat arena of `(tile_rows + 1) × 16`
 //!   elements, one strip per tile row plus a zero row, whatever the output
 //!   width: 33 KB of `i64` for a 256-row tile, so prefix loads and partial
@@ -171,7 +182,9 @@ fn col_tile_count(plan: &ProSparsityPlan) -> usize {
 /// `out_chunk` holds the group's `valid_rows × n` output elements; the
 /// arena is caller-owned and reused across every tile this worker
 /// processes, so the loop itself never allocates. Widths 16 and 128 run a
-/// body specialized to their constant width (module docs).
+/// body specialized to their constant width, and each `k`-tile of at most
+/// 64 columns one specialized to a single pattern limb per row; every full
+/// 16-column strip runs at a constant strip width (module docs).
 ///
 /// Kept out of line: inlined into [`execute_row_tiles`]' row-group loop, it
 /// made a session's 512×256×16 GeMM (N = 16) about 20% slower at the median
@@ -196,13 +209,10 @@ pub(crate) fn execute_row_tile<T: Copy + Default + AddAssign, V: Borrow<TileMeta
 /// [`execute_row_tile`]'s body for output width `N`, or for the runtime
 /// width `n` when `N` is 0.
 ///
-/// Each `k`-tile replays its rows in the plan's replay order once per
-/// output strip of `STRIP` columns (plus one narrower tail strip). Per
-/// strip, a row's register-resident accumulator is seeded from its
-/// prefix's partial in the arena (Step 9, the module docs give its size),
-/// plus the weight-row strips selected by the pattern's set bits (Steps
-/// 10–11, bit-scan-forward), stored to the arena as the row's own partial,
-/// and added into the output row (Step 12).
+/// Clears the arena's zero row, views the arena as `[T; STRIP]` strips once,
+/// and replays each `k`-tile through [`replay_k_tile`], dispatched on its
+/// pattern limb count as the planner dispatches `plan_tile`: one limb for
+/// tiles of at most 64 columns, a runtime count otherwise.
 // analyze: hot-path
 #[inline(always)]
 fn replay_row_tile<T: Copy + Default + AddAssign, V: Borrow<TileMeta>, const N: usize>(
@@ -218,86 +228,129 @@ fn replay_row_tile<T: Copy + Default + AddAssign, V: Borrow<TileMeta>, const N: 
         .map(|t| t.borrow().prefix.len())
         .max()
         .unwrap_or(0);
-    let zero_row = tile_rows * STRIP;
-    if arena.len() < zero_row + STRIP {
-        arena.resize(zero_row + STRIP, T::default());
+    if arena.len() < (tile_rows + 1) * STRIP {
+        arena.resize((tile_rows + 1) * STRIP, T::default());
     }
-    if let Some(zeros) = arena.get_mut(zero_row..zero_row + STRIP) {
-        zeros.fill(T::default());
+    let (strips, _) = arena.as_chunks_mut::<STRIP>();
+    let Some(strips) = strips.get_mut(..=tile_rows) else {
+        return;
+    };
+    if let Some(zeros) = strips.last_mut() {
+        *zeros = [T::default(); STRIP];
     }
     for (j, tile) in k_tiles.iter().enumerate() {
         let meta: &TileMeta = tile.borrow();
         let col_start = j * meta.width;
-        let wpr = meta.pattern_words();
-        // All-zero rows (padding included) lead the replay order: depth 0,
-        // no pattern bits. They add nothing and are never prefixes, so the
-        // run is skipped before the row loop. A row with a prefix follows
-        // every root, and its prefix chain starts at a root with a pattern
-        // bit, so the run ends at the first pattern bit.
-        let zero_rows = meta
-            .exec_order
-            .iter()
-            .take_while(|&&r| {
-                let r = r as usize;
-                meta.pattern_limbs
-                    .get(r * wpr..(r + 1) * wpr)
-                    .is_some_and(|p| p.iter().all(|&l| l == 0))
-            })
-            .count();
-        let rows = meta.exec_order.get(zero_rows..).unwrap_or_default();
-        let strip = |c: usize, width: usize, arena: &mut [T], out_chunk: &mut [T]| {
-            for &r in rows {
-                let r = r as usize;
-                // The planner sizes both to the tile's rows, so these always
-                // resolve; `get` keeps the loop free of panic paths.
-                let (Some(&prefix), Some(pattern)) = (
-                    meta.prefix.get(r),
-                    meta.pattern_limbs.get(r * wpr..(r + 1) * wpr),
-                ) else {
-                    continue;
-                };
-                // `NO_PREFIX` clamps to the zero row.
-                let seed = (prefix as usize).min(tile_rows) * STRIP;
-                let mut acc = [T::default(); STRIP];
-                if let Some(src) = arena.get(seed..seed + width) {
+        match meta.pattern_words() {
+            1 => replay_k_tile::<T, 1>(meta, col_start, wdata, out_chunk, strips, n),
+            _ => replay_k_tile::<T, 0>(meta, col_start, wdata, out_chunk, strips, n),
+        }
+    }
+}
+
+/// Replays one `k`-tile, whose weight rows start at `col_start`, with `W`
+/// pattern limbs per row, or the tile's runtime count when `W` is 0: once
+/// per full strip of `STRIP` output columns, then once for the narrower
+/// tail strip if `n` leaves one.
+// analyze: hot-path
+#[inline(always)]
+fn replay_k_tile<T: Copy + Default + AddAssign, const W: usize>(
+    meta: &TileMeta,
+    col_start: usize,
+    wdata: &[T],
+    out_chunk: &mut [T],
+    strips: &mut [[T; STRIP]],
+    n: usize,
+) {
+    let wpr = if W == 0 { meta.pattern_words() } else { W };
+    // All-zero rows (padding included) lead the replay order: depth 0, no
+    // pattern bits. They add nothing and are never prefixes, so the run is
+    // skipped before the row loop. A row with a prefix follows every root,
+    // and its prefix chain starts at a root with a pattern bit, so the run
+    // ends at the first pattern bit.
+    let zero_rows = meta
+        .exec_order
+        .iter()
+        .take_while(|&&r| {
+            let r = r as usize;
+            meta.pattern_limbs
+                .get(r * wpr..(r + 1) * wpr)
+                .is_some_and(|p| p.iter().all(|&l| l == 0))
+        })
+        .count();
+    let rows = meta.exec_order.get(zero_rows..).unwrap_or_default();
+    let mut c = 0;
+    while c + STRIP <= n {
+        let weights = wdata.get(col_start * n + c..).unwrap_or_default();
+        let out = out_chunk.get_mut(c..).unwrap_or_default();
+        replay_strip::<T, W, STRIP>(meta, rows, weights, out, strips, n, STRIP);
+        c += STRIP;
+    }
+    if c < n {
+        let weights = wdata.get(col_start * n + c..).unwrap_or_default();
+        let out = out_chunk.get_mut(c..).unwrap_or_default();
+        replay_strip::<T, W, 0>(meta, rows, weights, out, strips, n, n - c);
+    }
+}
+
+/// Replays `rows` of one `k`-tile on one output strip of width `S`, or of
+/// the runtime `width` when `S` is 0. `weights` and `out` start at the
+/// strip's first column, `weights` also at the tile's first weight row.
+///
+/// Per row, a register-resident accumulator is seeded by copying its
+/// prefix's partial from the arena (Step 9; `strips` ends in the zero row),
+/// plus the weight-row strips selected by the pattern's set bits (Steps
+/// 10–11, bit-scan-forward), copied back to the arena as the row's own
+/// partial, and added into the output row (Step 12).
+// analyze: hot-path
+#[inline(always)]
+fn replay_strip<T: Copy + Default + AddAssign, const W: usize, const S: usize>(
+    meta: &TileMeta,
+    rows: &[u32],
+    weights: &[T],
+    out: &mut [T],
+    strips: &mut [[T; STRIP]],
+    n: usize,
+    width: usize,
+) {
+    let width = if S == 0 { width } else { S };
+    let wpr = if W == 0 { meta.pattern_words() } else { W };
+    let (prefix, patterns) = (meta.prefix.as_slice(), meta.pattern_limbs.as_slice());
+    let zero = strips.len() - 1;
+    for &r in rows {
+        let r = r as usize;
+        // The planner sizes both to the tile's rows, so these always
+        // resolve; `get` keeps the loop free of panic paths.
+        let (Some(&p), Some(pattern)) = (prefix.get(r), patterns.get(r * wpr..(r + 1) * wpr))
+        else {
+            continue;
+        };
+        // `NO_PREFIX` clamps to the zero row.
+        let Some(&seed) = strips.get((p as usize).min(zero)) else {
+            continue;
+        };
+        let mut acc = seed;
+        for (word, &limb) in pattern.iter().enumerate() {
+            let mut bits = limb;
+            while bits != 0 {
+                let off = (word * 64 + bits.trailing_zeros() as usize) * n;
+                bits &= bits - 1;
+                // Zero-padded tile columns address past the last weight
+                // row, where `get` finds nothing.
+                if let Some(src) = weights.get(off..off + width) {
                     for (a, &x) in acc.iter_mut().zip(src) {
-                        *a = x;
-                    }
-                }
-                for (word, &limb) in pattern.iter().enumerate() {
-                    let mut bits = limb;
-                    let base = col_start + word * 64;
-                    while bits != 0 {
-                        let off = (base + bits.trailing_zeros() as usize) * n + c;
-                        bits &= bits - 1;
-                        // Zero-padded tile columns address past the last
-                        // weight row, where `get` finds nothing.
-                        if let Some(src) = wdata.get(off..off + width) {
-                            for (a, &x) in acc.iter_mut().zip(src) {
-                                *a += x;
-                            }
-                        }
-                    }
-                }
-                if let Some(dst) = arena.get_mut(r * STRIP..r * STRIP + width) {
-                    for (d, &a) in dst.iter_mut().zip(&acc) {
-                        *d = a;
-                    }
-                }
-                if let Some(dst) = out_chunk.get_mut(r * n + c..r * n + c + width) {
-                    for (d, &a) in dst.iter_mut().zip(&acc) {
-                        *d += a;
+                        *a += x;
                     }
                 }
             }
-        };
-        let mut c = 0;
-        while c + STRIP <= n {
-            strip(c, STRIP, arena, out_chunk);
-            c += STRIP;
         }
-        if c < n {
-            strip(c, n - c, arena, out_chunk);
+        if let Some(dst) = strips.get_mut(r) {
+            *dst = acc;
+        }
+        if let Some(dst) = out.get_mut(r * n..r * n + width) {
+            for (d, &a) in dst.iter_mut().zip(&acc) {
+                *d += a;
+            }
         }
     }
 }
@@ -421,11 +474,15 @@ mod tests {
             ("correlated", correlated_matrix(50, 150, &mut rng)),
             ("sparse", SpikeMatrix::random(50, 128, 0.1, &mut rng)),
         ];
-        // Ragged in both dimensions; k > 64 gives multi-limb patterns.
+        // Ragged in both dimensions; k > 64 gives multi-limb patterns. 32×64
+        // reaches pattern bit 63 on the one-limb body, and 32×65 is the
+        // narrowest tile on the runtime limb count.
         let shapes = [
             TileShape::new(16, 8),
             TileShape::new(7, 70),
             TileShape::new(64, 128),
+            TileShape::new(32, 64),
+            TileShape::new(32, 65),
         ];
         for (name, s) in &inputs {
             for shape in shapes {
@@ -433,6 +490,10 @@ mod tests {
                 if *name == "correlated" {
                     let mut prefixes = plan.tiles().iter().flat_map(|t| &t.prefix);
                     assert!(prefixes.any(|&p| p != NO_PREFIX), "no prefixes");
+                }
+                if shape.k == 64 {
+                    let mut limbs = plan.tiles().iter().flat_map(|t| &t.pattern_limbs);
+                    assert!(limbs.any(|&l| l >> 63 == 1), "{name}: no pattern bit 63");
                 }
                 for n in STRIP_NS {
                     let what = format!("{name} {}x{} n={n}", shape.m, shape.k);
